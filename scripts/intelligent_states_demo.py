@@ -10,23 +10,19 @@ from fractions import Fraction
 
 from dq import (
     check_annihilating_transform,
-    check_hr,
-    check_rs,
-    check_trace,
+    check_relations,
     coordinate,
-    find_ideal_direction,
     gelfand_norm,
     ground,
-    moment_matrices,
     squeezed,
-    two_observable_ideal_witness,
 )
 from dq.observables import constant
 from dq.series import I_UNIT
 
 
 def show(state, label, xs):
-    mm = moment_matrices(state, xs)
+    checks = check_relations(state, xs)
+    mm = checks.mm
     print(f"== {label} ==")
     print("covariance part a:")
     for row in mm.a:
@@ -34,12 +30,10 @@ def show(state, label, xs):
     print("skew part b:")
     for row in mm.b:
         print("   [" + ", ".join(str(x) for x in row) + "]")
-    rs = check_rs(state, xs, mm)
-    hr = check_hr(state, xs, mm)
-    tr, _ = check_trace(state, xs, mm)
-    for v in (rs, hr, tr):
-        print(f"{v.relation_name:>6}: {v.status.value:15} lhs={v.lhs} rhs={v.rhs}")
+    for name, r in checks.reports[:3]:
+        print(f"{name:>6}: {r.relation.value:16} lhs={r.lhs} rhs={r.rhs}")
     print()
+    return checks
 
 
 def main():
@@ -47,11 +41,10 @@ def main():
     p = coordinate(1, "p", 1)
 
     g = ground(1)
-    show(g, "ground state", [q, p])
+    checks = show(g, "ground state", [q, p])
     qip = q + constant(1, I_UNIT) * p
     print("rho(conj(q+ip) * (q+ip)) =", gelfand_norm(g, qip))
-    sat, witness = two_observable_ideal_witness(g, q, p)
-    print("saturation witness (u1, u2):", witness)
+    print("saturation witness (u1, u2):", checks.witness)
     print()
 
     s = squeezed(4)
@@ -59,11 +52,11 @@ def main():
     res = check_annihilating_transform(
         s, [q, p], [[Fraction(5, 4)]], [[Fraction(-3, 4)]]
     )
-    print("transformed ladder annihilated:", res.all_in_ideal, "->", res.rs.status.value)
+    print("transformed ladder annihilated:", res.all_in_ideal, "->", res.rs.relation.value)
     print()
 
     print("== singular covariance part: (q, p, q+p) on the ground state ==")
-    direction = find_ideal_direction(g, [q, p, q + p])
+    direction = check_relations(g, [q, p, q + p]).direction
     print("annihilated real combination of deviations:", [str(x) for x in direction])
 
 

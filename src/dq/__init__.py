@@ -23,6 +23,7 @@ from .linalg import (
     is_nonneg_definite,
     kernel,
     split,
+    trace_bounds,
 )
 from .observables import (
     Observable,
@@ -63,16 +64,10 @@ from .states import (
 )
 from .uncertainty import (
     MomentMatrices,
-    Status,
-    UncertaintyVerdict,
+    RelationChecks,
     check_annihilating_transform,
-    check_hr,
-    check_rs,
-    check_trace,
-    check_two_obs,
-    find_ideal_direction,
+    check_relations,
     moment_matrices,
-    two_observable_ideal_witness,
 )
 
 __version__ = "0.1.0"

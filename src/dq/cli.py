@@ -8,9 +8,13 @@ Subcommands:
 * ``dq intelligent --state S --obs E ...``   saturation / witness detection
 * ``dq proptest <suite> [--trials] [--seed] [--dims]``  randomized suites
 
+Write ``--obs=EXPR`` when an expression starts with ``-`` (``--obs=-2*q1``);
+``--obs -2*q1`` reads ``-2*q1`` as an option.
+
 Exit codes: 0 all good, 1 usage/parse errors, 2 a relation was violated
 (a falsified inequality), 3 a decision was indeterminate at the working
-truncation (raise ``--order``).  ``DQ_DEFAULT_ORDER`` presets the order.
+truncation (raise ``--order``).  ``DQ_DEFAULT_ORDER`` presets the order;
+either setting holds for one call of :func:`main` only.
 """
 
 from __future__ import annotations
@@ -22,25 +26,25 @@ import sys
 from fractions import Fraction
 
 from .errors import DQError, ExprSyntaxError, IndeterminateAtTruncation
+from .linalg import Relation
 from .parsing import infer_dof, parse_observable, parse_series
 from .proptests import SUITES, run_suite
-from .series import ComplexSeries, set_default_order
+from .series import ComplexSeries, default_order, set_default_order
 from .states import GaussianState, correlated, ground, load_state, squeezed
-from .uncertainty import (
-    Status,
-    check_hr,
-    check_rs,
-    check_trace,
-    check_two_obs,
-    find_ideal_direction,
-    moment_matrices,
-    two_observable_ideal_witness,
-)
+from .uncertainty import RelationChecks, check_relations
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATED = 2
 EXIT_INDETERMINATE = 3
+
+#: the status word of each relation in the output
+STATUS = {
+    Relation.EQUAL: "saturated",
+    Relation.STRICTLY_GREATER: "strictly_above",
+    Relation.VIOLATED: "violated",
+    Relation.INDETERMINATE: "indeterminate",
+}
 
 
 def _apply_order(args) -> None:
@@ -80,42 +84,11 @@ def _witness_json(witness):
     return out
 
 
-def _verdict_json(v, hr_flag: bool, rs_flag: bool, witness=None) -> dict:
-    return {
-        "relation": v.relation_name,
-        "lhs": v.lhs.literal(),
-        "rhs": v.rhs.literal(),
-        "status": v.status.value,
-        "intelligent": {"hr": hr_flag, "rs": rs_flag},
-        "witness": _witness_json(witness),
-    }
-
-
-def _run_relation_checks(state: GaussianState, xs):
-    mm = moment_matrices(state, xs)
-    n = len(xs)
-    rs = check_rs(state, xs, mm)
-    hr = check_hr(state, xs, mm)
-    verdicts = [rs, hr]
-    if n >= 2:
-        general, pairing = check_trace(state, xs, mm)
-        verdicts.append(general)
-        if pairing is not None:
-            verdicts.append(pairing)
-    witness = None
-    if n == 2:
-        two = check_two_obs(state, xs[0], xs[1])
-        verdicts.append(two)
-        saturated, witness = two_observable_ideal_witness(state, xs[0], xs[1])
-    direction = find_ideal_direction(state, xs, mm)
-    return verdicts, witness, direction, hr, rs
-
-
-def _exit_from(verdicts) -> int:
-    statuses = {v.status for v in verdicts}
-    if Status.VIOLATED in statuses:
+def _exit_from(checks: RelationChecks) -> int:
+    relations = {r.relation for _, r in checks.reports}
+    if Relation.VIOLATED in relations:
         return EXIT_VIOLATED
-    if Status.INDETERMINATE in statuses:
+    if Relation.INDETERMINATE in relations:
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -154,59 +127,69 @@ def _parse_check_inputs(args):
     return state, xs
 
 
-def _cmd_check(args) -> int:
+def _cmd_relations(args) -> int:
     state, xs = _parse_check_inputs(args)
-    verdicts, witness, direction, hr, rs = _run_relation_checks(state, xs)
-    hr_flag = bool(hr.hr_intelligent)
-    rs_flag = bool(rs.rs_intelligent)
+    checks = check_relations(state, xs)
+    args.render(args, checks)
+    return _exit_from(checks)
+
+
+def _pretty_witness(witness) -> str:
+    return "[" + ", ".join(f"({c.re})+i*({c.im})" for c in witness) + "]"
+
+
+def _pretty_direction(direction) -> str:
+    return "[" + ", ".join(str(x) for x in direction) + "]"
+
+
+def _render_check(args, checks: RelationChecks) -> None:
+    flags = {"hr": checks.hr_intelligent, "rs": checks.rs_intelligent}
+    if args.json:
+        reports = [
+            {
+                "relation": name,
+                "lhs": r.lhs.literal(),
+                "rhs": r.rhs.literal(),
+                "status": STATUS[r.relation],
+                "intelligent": flags,
+                "witness": _witness_json(checks.witness if name == "TwoObs" else None),
+            }
+            for name, r in checks.reports
+        ]
+        payload = {
+            "state": args.state,
+            "observables": list(args.obs),
+            "reports": reports,
+            "ideal_direction": _witness_json(checks.direction),
+        }
+        print(json.dumps(payload, sort_keys=True))
+        return
+    for name, r in checks.reports:
+        print(f"{name}: {STATUS[r.relation]}  lhs={r.lhs}  rhs={r.rhs}")
+    print(f"intelligent: hr={flags['hr']} rs={flags['rs']}")
+    if checks.witness is not None:
+        print(f"ideal witness: {_pretty_witness(checks.witness)}")
+    if checks.direction is not None:
+        print(f"ideal direction: {_pretty_direction(checks.direction)}")
+
+
+def _render_intelligent(args, checks: RelationChecks) -> None:
     if args.json:
         payload = {
             "state": args.state,
             "observables": list(args.obs),
-            "reports": [
-                _verdict_json(
-                    v, hr_flag, rs_flag, witness if v.relation_name == "TwoObs" else None
-                )
-                for v in verdicts
-            ],
-            "ideal_direction": _witness_json(direction),
+            "intelligent": {"hr": checks.hr_intelligent, "rs": checks.rs_intelligent},
+            "witness": _witness_json(checks.witness),
+            "ideal_direction": _witness_json(checks.direction),
         }
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for v in verdicts:
-            print(f"{v.relation_name}: {v.status.value}  lhs={v.lhs}  rhs={v.rhs}")
-        print(f"intelligent: hr={hr_flag} rs={rs_flag}")
-        if witness is not None:
-            pretty = ", ".join(f"({c.re})+i*({c.im})" for c in witness)
-            print(f"ideal witness: [{pretty}]")
-        if direction is not None:
-            print(f"ideal direction: [{', '.join(str(x) for x in direction)}]")
-    return _exit_from(verdicts)
-
-
-def _cmd_intelligent(args) -> int:
-    state, xs = _parse_check_inputs(args)
-    verdicts, witness, direction, hr, rs = _run_relation_checks(state, xs)
-    hr_flag = bool(hr.hr_intelligent)
-    rs_flag = bool(rs.rs_intelligent)
-    if args.json:
-        payload = {
-            "state": args.state,
-            "observables": list(args.obs),
-            "intelligent": {"hr": hr_flag, "rs": rs_flag},
-            "witness": _witness_json(witness),
-            "ideal_direction": _witness_json(direction),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"hr-intelligent: {hr_flag}")
-        print(f"rs-intelligent: {rs_flag}")
-        if witness is not None:
-            pretty = ", ".join(f"({c.re})+i*({c.im})" for c in witness)
-            print(f"witness: [{pretty}]")
-        if direction is not None:
-            print(f"ideal direction: [{', '.join(str(x) for x in direction)}]")
-    return _exit_from(verdicts)
+        return
+    print(f"hr-intelligent: {checks.hr_intelligent}")
+    print(f"rs-intelligent: {checks.rs_intelligent}")
+    if checks.witness is not None:
+        print(f"witness: {_pretty_witness(checks.witness)}")
+    if checks.direction is not None:
+        print(f"ideal direction: {_pretty_direction(checks.direction)}")
 
 
 def _cmd_proptest(args) -> int:
@@ -241,16 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_star.add_argument("--json", action="store_true")
     p_star.set_defaults(func=_cmd_star)
 
-    for name, func, doc in (
-        ("check", _cmd_check, "run the uncertainty-relation checks"),
-        ("intelligent", _cmd_intelligent, "detect saturation and witnesses"),
+    for name, render, doc in (
+        ("check", _render_check, "run the uncertainty-relation checks"),
+        ("intelligent", _render_intelligent, "detect saturation and witnesses"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--state", required=True, help="ground | squeezed:<s> | correlated:<series> | file.json")
-        p.add_argument("--obs", action="append", required=True, help="observable expression (repeatable)")
+        p.add_argument(
+            "--obs",
+            action="append",
+            required=True,
+            metavar="EXPR",
+            help="observable expression (repeatable); write --obs=EXPR when EXPR starts with '-'",
+        )
         p.add_argument("--order", default=None, help="working truncation order")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_relations, render=render)
 
     p_prop = sub.add_parser("proptest", help="randomized law suites")
     p_prop.add_argument("suite", choices=SUITES)
@@ -263,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
+    order = default_order()
     try:
         _apply_order(args)
         return args.func(args)
@@ -276,6 +269,8 @@ def main(argv=None) -> int:
     except (DQError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_default_order(order)
 
 
 if __name__ == "__main__":

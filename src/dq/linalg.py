@@ -19,7 +19,6 @@ style products, trace bounds) into exact, reportable predicates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -311,10 +310,6 @@ class HermitianForm:
     def n(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, jk):
-        j, k = jk
-        return self.entries[j][k]
-
 
 @dataclass(frozen=True)
 class RealSplit:
@@ -586,25 +581,21 @@ def check_hadamard_chain(
     return HadamardReport(r1, r2, r3, diag_ok, skew_ok)
 
 
-def check_trace_bounds(
-    form: HermitianForm, definiteness: Definiteness | None = None
-) -> tuple[InequalityReport, InequalityReport | None]:
-    """Trace bounds from the pairwise Hadamard inequalities:
-    trace >= 2/(n-1) * sum of |skew entries| above the diagonal, and for
-    even n the sharper paired-index bound trace >= 2 sum_j |b[j][m+j]|."""
-    n = form.n
+def trace_bounds(diagonal, b) -> tuple[InequalityReport, InequalityReport | None]:
+    """Trace bounds from the pairwise Hadamard inequalities on a diagonal
+    and a skew part b: trace >= 2/(n-1) * sum of |b| above the diagonal, and
+    for even n the sharper paired-index bound trace >= 2 sum_j |b[j][m+j]|."""
+    n = len(diagonal)
     if n < 2:
         raise DimensionTooSmall("trace bounds need n >= 2")
-    _classify(form, definiteness)
-    rs = split(form)
-    zero, _one = _units_like(rs.a[0][0])
+    zero, _one = _units_like(diagonal[0])
     trace = zero
-    for k in range(n):
-        trace = trace + form.entries[k][k].re
+    for x in diagonal:
+        trace = trace + x
     total = zero
     for j in range(n):
         for k in range(j + 1, n):
-            total = total + abs(rs.b[j][k])
+            total = total + abs(b[j][k])
     general_rhs = Fraction(2, n - 1) * total
     general = InequalityReport(trace, general_rhs, relation_of(trace, general_rhs))
     pairing = None
@@ -612,10 +603,20 @@ def check_trace_bounds(
         m = n // 2
         paired = zero
         for j in range(m):
-            paired = paired + abs(rs.b[j][m + j])
+            paired = paired + abs(b[j][m + j])
         rhs = 2 * paired
         pairing = InequalityReport(trace, rhs, relation_of(trace, rhs))
     return general, pairing
+
+
+def check_trace_bounds(
+    form: HermitianForm, definiteness: Definiteness | None = None
+) -> tuple[InequalityReport, InequalityReport | None]:
+    """:func:`trace_bounds` of a non-negative form."""
+    rs = split(form)
+    bounds = trace_bounds([rs.a[k][k] for k in range(form.n)], rs.b)
+    _classify(form, definiteness)
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +647,3 @@ def form_to_dict(form: HermitianForm) -> dict:
         ],
     }
 
-
-def load_form(path: str) -> HermitianForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return form_from_dict(json.load(fh))

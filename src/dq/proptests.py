@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import InternalConsistencyError
 from .linalg import (
     Definiteness,
     Relation,
@@ -50,16 +51,7 @@ from .series import (
     series,
 )
 from .states import GaussianState, cauchy_schwarz_check, gelfand_norm, ground, squeezed
-from .uncertainty import (
-    Status,
-    check_hr,
-    check_rs,
-    check_trace,
-    check_two_obs,
-    find_ideal_direction,
-    moment_matrices,
-    two_observable_ideal_witness,
-)
+from .uncertainty import check_relations
 
 SUITES = ("field_axioms", "robertson", "hadamard", "trace", "moyal", "states", "uncertainty")
 
@@ -539,25 +531,20 @@ def run_uncertainty(trials: int, seed: int) -> SuiteReport:
             xs.append(xs[0] * alpha + xs[1] * beta)
         ctx = f"trial={t} n={len(xs)}{' dependent' if dependent else ''}"
         try:
-            mm = moment_matrices(state, xs)
-        except Exception as exc:  # internal cross-check is part of the suite
-            rep.failures.append(f"{ctx} moment matrices failed: {exc}")
+            checks = check_relations(state, xs)
+        except InternalConsistencyError as exc:  # the internal cross-checks are part of the suite
+            rep.failures.append(f"{ctx} internal cross-check failed: {exc}")
             continue
-        rs = check_rs(state, xs, mm)
-        hr = check_hr(state, xs, mm)
-        tr, pairing = check_trace(state, xs, mm)
-        for v in (rs, hr, tr, pairing):
-            if v is not None and v.status in (Status.VIOLATED, Status.INDETERMINATE):
-                rep.failures.append(f"{ctx} {v.relation_name} {v.status.value}")
-        if hr.hr_intelligent and not hr.rs_intelligent:
+        for name, r in checks.reports:
+            if r.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+                rep.failures.append(f"{ctx} {name} {r.relation.value}")
+        if checks.hr_intelligent and not checks.rs_intelligent:
             rep.failures.append(f"{ctx} HR saturation without RS saturation")
-        direction = find_ideal_direction(state, xs, mm)
-        if dependent and direction is None:
+        if dependent and checks.direction is None:
             rep.failures.append(f"{ctx} dependent set must give an ideal direction")
         if len(xs) == 2:
-            sat, witness = two_observable_ideal_witness(state, xs[0], xs[1])
-            two = check_two_obs(state, xs[0], xs[1])
-            if sat != (two.status is Status.SATURATED):
+            saturated = dict(checks.reports)["TwoObs"].relation is Relation.EQUAL
+            if (checks.witness is not None) != saturated:
                 rep.failures.append(f"{ctx} witness existence disagrees with saturation")
     return rep
 

@@ -82,10 +82,6 @@ class Series:
     # -- inspection --------------------------------------------------------
 
     @property
-    def is_exact(self) -> bool:
-        return self.trunc == INF
-
-    @property
     def is_zero(self) -> bool:
         """True only for the exact zero element."""
         return not self.terms and self.trunc == INF
@@ -576,12 +572,6 @@ def _ccoerce(value):
     if isinstance(value, (int, Fraction)):
         return ComplexSeries(_coerce(value), ZERO)
     return NotImplemented
-
-
-def complex_series(re: Series | Rational = 0, im: Series | Rational = 0) -> ComplexSeries:
-    re = re if isinstance(re, Series) else _coerce(re)
-    im = im if isinstance(im, Series) else _coerce(im)
-    return ComplexSeries(re, im)
 
 
 C_ZERO = ComplexSeries()

@@ -22,7 +22,14 @@ from .errors import (
     InternalConsistencyError,
     MomentDegreeExceeded,
 )
-from .linalg import InequalityReport, relation_of
+from .linalg import (
+    Definiteness,
+    InequalityReport,
+    congruence_diagonalize,
+    hermitian_form,
+    is_nonneg_definite,
+    relation_of,
+)
 from .observables import Observable, constant, require_real, star
 from .series import (
     ComplexSeries,
@@ -64,24 +71,27 @@ class GaussianState:
         self._check_admissibility()
 
     def _check_admissibility(self):
+        # quantum condition for every d: cov + (i h/2) J is non-negative
+        # definite, J = [[0, I], [-I, 0]] (Simon, Mukunda and Dutta 1994);
+        # below it positivity of the functional can fail, which the
+        # relation checks then report
+        d, half_h = self.d, _hbar_over(2)
+        rows = [[ComplexSeries(x) for x in row] for row in self.cov]
+        for j in range(d):
+            rows[j][j + d] = ComplexSeries(self.cov[j][j + d], half_h)
+            rows[j + d][j] = ComplexSeries(self.cov[j + d][j], -half_h)
+        if is_nonneg_definite(hermitian_form(rows))[0] is not Definiteness.INDEFINITE:
+            return
         # classical requirement: the covariance is non-negative definite
-        from .linalg import congruence_diagonalize
-
         _, diag = congruence_diagonalize(self.cov)
         for entry in diag:
             if entry.sign() is Sign.NEGATIVE:
                 raise ValueError("covariance matrix is not non-negative definite")
-        if self.d == 1:
-            # quantum threshold det(cov) >= (h/2)^2; below it positivity of
-            # the functional can fail, which the relation checks then report
-            det = self.cov[0][0] * self.cov[1][1] - self.cov[0][1] * self.cov[1][0]
-            gap = det - series([(2, Fraction(1, 4))])
-            if gap.sign() is Sign.NEGATIVE:
-                warnings.warn(
-                    "det(cov) < h^2/4: functional may fail positivity",
-                    AdmissibilityWarning,
-                    stacklevel=3,
-                )
+        warnings.warn(
+            "cov + (i h/2) J is not non-negative definite: functional may fail positivity",
+            AdmissibilityWarning,
+            stacklevel=3,
+        )
 
     # -- expectations --------------------------------------------------------
 
@@ -100,12 +110,6 @@ class GaussianState:
         if value.im.terms:
             raise InternalConsistencyError(f"{what} has imaginary part {value.im}")
         return value.re
-
-    def variance(self, x: Observable) -> Series:
-        """Second central moment rho(x*x) - rho(x)^2 of a real observable."""
-        require_real(x)
-        m = self.expect_real(x)
-        return self.expect_real(star(x, x)) - m * m
 
     def _raw_moment(self, mono: tuple[int, ...]) -> Series:
         slots = [i for i, e in enumerate(mono) if e]
@@ -260,14 +264,6 @@ def state_from_dict(obj: dict) -> GaussianState:
     if len(mean) != 2 * d:
         raise DimensionMismatch(f"mean length {len(mean)} does not match d={d}")
     return GaussianState(mean, cov)
-
-
-def state_to_dict(state: GaussianState) -> dict:
-    return {
-        "d": state.d,
-        "mean": [x.literal() for x in state.mean],
-        "cov": [[x.literal() for x in row] for row in state.cov],
-    }
 
 
 def load_state(path: str) -> GaussianState:

@@ -14,13 +14,13 @@ A state saturating the second equality is HR-intelligent, one saturating
 the first RS-intelligent; saturation is decided by exact series comparison
 at the stored truncation.  Saturation witnesses are produced through
 membership of deviation combinations in the state's annihilating
-(Gel'fand) ideal.
+(Gel'fand) ideal.  :func:`check_relations` runs all of this from one
+moment computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import (
@@ -32,34 +32,21 @@ from .errors import (
 from .linalg import (
     Definiteness,
     HermitianForm,
+    InequalityReport,
+    Relation,
     Zeroness,
+    _as_centry,
     determinant,
     hermitian_form,
     is_nonneg_definite,
     kernel,
+    relation_of,
+    trace_bounds,
     zeroness,
 )
 from .observables import Observable, moyal_bracket, require_real, star
 from .series import ComplexSeries, I_UNIT, ONE, Series, Sign, series
-from .states import GaussianState, deviation, in_gelfand_ideal
-
-
-class Status(Enum):
-    SATURATED = "saturated"
-    STRICTLY_ABOVE = "strictly_above"
-    VIOLATED = "violated"
-    INDETERMINATE = "indeterminate"
-
-
-@dataclass(frozen=True)
-class UncertaintyVerdict:
-    relation_name: str
-    lhs: Series
-    rhs: Series
-    status: Status
-    hr_intelligent: bool | None = None
-    rs_intelligent: bool | None = None
-    witness: tuple | None = None
+from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
 @dataclass(frozen=True)
@@ -70,21 +57,30 @@ class MomentMatrices:
     a: tuple[tuple[Series, ...], ...]
     b: tuple[tuple[Series, ...], ...]
     variances: tuple[Series, ...]
+    devs: tuple[Observable, ...]
 
 
-def _status_of(lhs: Series, rhs: Series) -> Status:
-    s = (lhs - rhs).sign()
-    if s is Sign.ZERO:
-        return Status.SATURATED
-    if s is Sign.POSITIVE:
-        return Status.STRICTLY_ABOVE
-    if s is Sign.NEGATIVE:
-        return Status.VIOLATED
-    return Status.INDETERMINATE
+@dataclass(frozen=True)
+class RelationChecks:
+    """Every relation check on one observable set, with its witnesses.
+
+    ``reports`` pairs each relation name with its report, in the order RS,
+    HR, Trace, TracePairing (even n), TwoObs (n = 2).  ``witness`` is the
+    complex kernel vector of phi when n = 2 and the bound is saturated;
+    ``direction`` the real kernel vector of the covariance part, if any.
+    """
+
+    mm: MomentMatrices
+    reports: tuple[tuple[str, InequalityReport], ...]
+    hr_intelligent: bool
+    rs_intelligent: bool
+    witness: tuple | None
+    direction: tuple | None
 
 
 def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
-    """phi, a, b and the variances for the given real observables.
+    """phi, a, b, the variances and the deviations for the given real
+    observables.
 
     a and b are computed by their own formulas (symmetrized star moment;
     h/2-scaled bracket moment) and cross-checked against the real and
@@ -127,109 +123,81 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
         a=tuple(tuple(row) for row in a),
         b=tuple(tuple(row) for row in b),
         variances=tuple(a[j][j] for j in range(n)),
+        devs=tuple(devs),
     )
 
 
-def check_rs(state: GaussianState, xs, mm: MomentMatrices | None = None) -> UncertaintyVerdict:
-    """det(covariance part) against det(skew part)."""
-    mm = mm if mm is not None else moment_matrices(state, xs)
-    lhs = determinant(mm.a)
-    rhs = determinant(mm.b)
-    status = _status_of(lhs, rhs)
-    return UncertaintyVerdict(
-        "RS", lhs, rhs, status, rs_intelligent=status is Status.SATURATED
-    )
+def _rs_report(mm: MomentMatrices) -> InequalityReport:
+    det_a = determinant(mm.a)
+    det_b = determinant(mm.b)
+    return InequalityReport(det_a, det_b, relation_of(det_a, det_b))
 
 
-def check_hr(state: GaussianState, xs, mm: MomentMatrices | None = None) -> UncertaintyVerdict:
-    """Product of variances against det(skew part); saturation also forces
-    saturation of the RS relation."""
-    mm = mm if mm is not None else moment_matrices(state, xs)
-    lhs = ONE
-    for v in mm.variances:
-        lhs = lhs * v
-    rhs = determinant(mm.b)
-    status = _status_of(lhs, rhs)
-    hr = status is Status.SATURATED
-    rs = _status_of(determinant(mm.a), rhs) is Status.SATURATED
-    if hr and not rs:
-        _expect_nonneg_failure(mm.phi, "HR saturation must imply RS saturation")
-    return UncertaintyVerdict("HR", lhs, rhs, status, hr_intelligent=hr, rs_intelligent=rs)
+def check_relations(state: GaussianState, xs) -> RelationChecks:
+    """Run every relation on the observables xs from one moment computation.
 
+    * RS: det(a) against det(b);
+    * HR: the product of variances against det(b); its saturation forces
+      RS saturation;
+    * Trace and TracePairing (n >= 2): the trace bounds on the variances;
+    * TwoObs (n = 2): Var1 Var2 against cov12^2 + b12^2.  It is compared in
+      squared form because a standard deviation is seldom in the field
+      (sqrt(h/2) has the irrational leading coefficient sqrt(1/2)) and a
+      float detour would give up the exact sign decisions; its gap equals
+      det(phi) exactly, so saturation coincides with a singular phi.
 
-def check_trace(
-    state: GaussianState, xs, mm: MomentMatrices | None = None
-) -> tuple[UncertaintyVerdict, UncertaintyVerdict | None]:
-    """Sum of variances against the scaled sum of |bracket moments|; for an
-    even count of observables also the sharper index-paired bound."""
-    mm = mm if mm is not None else moment_matrices(state, xs)
+    Kernel vectors of phi (n = 2, saturated) and of a are returned as
+    witnesses, each re-verified as a member of the Gel'fand ideal.
+    """
+    mm = moment_matrices(state, xs)
     n = len(mm.variances)
-    if n < 2:
-        raise DimensionTooSmall("trace relation needs at least two observables")
-    lhs = Series()
+    rs = _rs_report(mm)
+    product = ONE
     for v in mm.variances:
-        lhs = lhs + v
-    total = Series()
-    for j in range(n):
-        for k in range(j + 1, n):
-            total = total + abs(mm.b[j][k])
-    rhs = Fraction(2, n - 1) * total
-    general = UncertaintyVerdict("Trace", lhs, rhs, _status_of(lhs, rhs))
-    pairing = None
-    if n % 2 == 0:
-        m = n // 2
-        paired = Series()
-        for j in range(m):
-            paired = paired + abs(mm.b[j][m + j])
-        rhs2 = 2 * paired
-        pairing = UncertaintyVerdict("TracePairing", lhs, rhs2, _status_of(lhs, rhs2))
-    return general, pairing
-
-
-def check_two_obs(
-    state: GaussianState, x1: Observable, x2: Observable
-) -> UncertaintyVerdict:
-    """Squared two-observable bound: product of the two variances against
-    the squared covariance plus the squared bracket moment.
-
-    Compared in squared form so no square roots are needed; the gap equals
-    det(phi) exactly, so saturation coincides with a singular phi.
-    """
-    mm = moment_matrices(state, [x1, x2])
-    lhs = mm.variances[0] * mm.variances[1]
-    rhs = mm.a[0][1] * mm.a[0][1] + mm.b[0][1] * mm.b[0][1]
-    det_phi = determinant(mm.phi.entries)
-    if det_phi.im.terms or det_phi.re != lhs - rhs:
-        raise InternalConsistencyError("two-observable gap must equal det(phi)")
-    status = _status_of(lhs, rhs)
-    return UncertaintyVerdict(
-        "TwoObs", lhs, rhs, status, rs_intelligent=status is Status.SATURATED
-    )
-
-
-def find_ideal_direction(
-    state: GaussianState, xs, mm: MomentMatrices | None = None
-):
-    """Real combination of the deviations that the state annihilates.
-
-    Exists exactly when the covariance part is singular; the returned
-    coefficients are re-verified through the ideal-membership test.
-    """
-    mm = mm if mm is not None else moment_matrices(state, xs)
+        product = product * v
+    hr = InequalityReport(product, rs.rhs, relation_of(product, rs.rhs))
+    hr_intelligent = hr.relation is Relation.EQUAL
+    rs_intelligent = rs.relation is Relation.EQUAL
+    if hr_intelligent and not rs_intelligent:
+        _expect_nonneg_failure(mm.phi, "HR saturation must imply RS saturation")
+    reports = [("RS", rs), ("HR", hr)]
+    if n >= 2:
+        general, pairing = trace_bounds(mm.variances, mm.b)
+        reports.append(("Trace", general))
+        if pairing is not None:
+            reports.append(("TracePairing", pairing))
+    witness = None
+    if n == 2:
+        lhs = mm.variances[0] * mm.variances[1]
+        rhs = mm.a[0][1] * mm.a[0][1] + mm.b[0][1] * mm.b[0][1]
+        det_phi = determinant(mm.phi.entries)
+        if det_phi.im.terms or det_phi.re != lhs - rhs:
+            raise InternalConsistencyError("two-observable gap must equal det(phi)")
+        reports.append(("TwoObs", InequalityReport(lhs, rhs, relation_of(lhs, rhs))))
+        s = det_phi.re.sign()
+        if s is Sign.INDETERMINATE:
+            raise IndeterminateAtTruncation("saturation undecidable at truncation")
+        if s is Sign.ZERO:
+            basis = kernel(mm.phi.entries)
+            if not basis:
+                raise InternalConsistencyError("singular phi must have a kernel vector")
+            witness = basis[0]
+            _require_in_ideal(state, mm, witness, "kernel witness must lie in the ideal")
     basis = kernel(mm.a)
-    if not basis:
-        return None
-    x = basis[0]
-    devs = [deviation(state, obs) for obs in xs]
+    direction = basis[0] if basis else None
+    if direction is not None:
+        _require_in_ideal(state, mm, direction, "kernel direction of a must lie in the ideal")
+    return RelationChecks(mm, tuple(reports), hr_intelligent, rs_intelligent, witness, direction)
+
+
+def _require_in_ideal(state: GaussianState, mm: MomentMatrices, coeffs, message: str) -> None:
+    """The combination sum_j coeffs[j] * dX_j must annihilate the state."""
     w = None
-    for coeff, dev in zip(x, devs):
+    for coeff, dev in zip(coeffs, mm.devs):
         part = dev * coeff
         w = part if w is None else w + part
     if not in_gelfand_ideal(state, w):
-        raise InternalConsistencyError(
-            "kernel direction of the covariance part must lie in the ideal"
-        )
-    return x
+        raise InternalConsistencyError(message)
 
 
 @dataclass(frozen=True)
@@ -238,7 +206,7 @@ class AnnihilatorResult:
 
     norms: tuple[Series, ...]
     all_in_ideal: bool
-    rs: UncertaintyVerdict
+    rs: InequalityReport
 
 
 def check_annihilating_transform(
@@ -252,8 +220,8 @@ def check_annihilating_transform(
     if n == 0 or n % 2:
         raise DimensionTooSmall("need an even number of observables")
     m = n // 2
-    u = [[_centry(x) for x in row] for row in u]
-    v = [[_centry(x) for x in row] for row in v]
+    u = [[_as_centry(x) for x in row] for row in u]
+    v = [[_as_centry(x) for x in row] for row in v]
     if len(u) != m or len(v) != m or any(len(r) != m for r in u + v):
         raise ValueError(f"u and v must be {m}x{m}")
     block = [u[i] + v[i] for i in range(m)] + [
@@ -265,7 +233,7 @@ def check_annihilating_transform(
     if z is Zeroness.UNDECIDED:
         raise IndeterminateAtTruncation("block determinant zero modulo truncation")
     mm = mm if mm is not None else moment_matrices(state, xs)
-    devs = [deviation(state, x) for x in xs]
+    devs = mm.devs
     ladders = [
         (devs[alpha] + devs[alpha + m] * I_UNIT) * Fraction(1, 2) for alpha in range(m)
     ]
@@ -276,8 +244,6 @@ def check_annihilating_transform(
         for beta in range(m):
             part = ladders[beta] * u[alpha][beta] + ladders[beta].conj() * v[alpha][beta]
             prime = part if prime is None else prime + part
-        from .states import gelfand_norm
-
         norm = gelfand_norm(state, prime)
         norms.append(norm)
         s = norm.sign()
@@ -285,51 +251,12 @@ def check_annihilating_transform(
             raise IndeterminateAtTruncation("annihilation test undecidable")
         if s is not Sign.ZERO:
             all_zero = False
-    rs = check_rs(state, xs, mm)
-    if all_zero and rs.status is not Status.SATURATED:
+    rs = _rs_report(mm)
+    if all_zero and rs.relation is not Relation.EQUAL:
         _expect_nonneg_failure(
             mm.phi, "annihilated transform must saturate the RS relation"
         )
     return AnnihilatorResult(tuple(norms), all_zero, rs)
-
-
-def two_observable_ideal_witness(
-    state: GaussianState, x1: Observable, x2: Observable
-):
-    """(saturated?, complex coefficients (u1, u2)) for two observables.
-
-    The RS relation for two observables is saturated exactly when some
-    complex combination u1 dX1 + u2 dX2 is annihilated by the state; the
-    coefficients come from the kernel of phi and are re-verified.
-    """
-    mm = moment_matrices(state, [x1, x2])
-    det_phi = determinant(mm.phi.entries)
-    if det_phi.im.terms:
-        raise InternalConsistencyError("det(phi) must be real")
-    s = det_phi.re.sign()
-    if s is Sign.INDETERMINATE:
-        raise IndeterminateAtTruncation("saturation undecidable at truncation")
-    if s is not Sign.ZERO:
-        return False, None
-    basis = kernel(mm.phi.entries)
-    if not basis:
-        raise InternalConsistencyError("singular phi must have a kernel vector")
-    witness = basis[0]
-    devs = [deviation(state, x1), deviation(state, x2)]
-    w = devs[0] * witness[0] + devs[1] * witness[1]
-    if not in_gelfand_ideal(state, w):
-        raise InternalConsistencyError("kernel witness must lie in the ideal")
-    return True, tuple(witness)
-
-
-def _centry(x) -> ComplexSeries:
-    if isinstance(x, ComplexSeries):
-        return x
-    if isinstance(x, Series):
-        return ComplexSeries(x)
-    if isinstance(x, (int, Fraction)):
-        return ComplexSeries(series([(0, x)]))
-    raise TypeError(f"bad transform entry {type(x).__name__}")
 
 
 def _expect_nonneg_failure(phi: HermitianForm, message: str):

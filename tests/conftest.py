@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from dq.series import ComplexSeries, INF, Series, series
+
+# no per-example time limit: a slow spell of the host is not a failure
+settings.register_profile("dq", deadline=None)
+settings.load_profile("dq")
 
 
 @st.composite

@@ -1,0 +1,152 @@
+"""Command-line tests: golden output of ``dq check``/``dq intelligent`` and
+the exit-code and working-order behaviour of ``cli.main``.
+
+``cli_golden.json`` holds the stdout and exit code of every invocation in
+``INVOCATIONS``.  Regenerate it only for an intended output change:
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from dq import cli
+from dq.series import default_order
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+
+#: state files the invocations name, written to the working directory
+STATE_FILES = {
+    "mean_state.json": {
+        "d": 1,
+        "mean": ["1/2", "-1 + h"],
+        "cov": [["1/2*h", "0"], ["0", "1/2*h"]],
+    },
+    "kernel_fault.json": {
+        "d": 1,
+        "mean": ["0", "-1"],
+        "cov": [["1/2*h", "0"], ["0", "1/2*h"]],
+    },
+}
+
+INVOCATIONS = (
+    ("check", "--state", "ground", "--obs=q1"),
+    ("check", "--state", "ground", "--obs=q1", "--obs=p1", "--json"),
+    ("intelligent", "--state", "ground", "--obs=q1", "--obs=p1"),
+    ("check", "--state", "squeezed:4", "--obs=q1", "--obs=p1"),
+    ("intelligent", "--state", "squeezed:1/3", "--obs=q1", "--obs=p1", "--json"),
+    ("check", "--state", "mean_state.json", "--obs=q1*p1", "--obs=q1", "--json"),
+    ("intelligent", "--state", "mean_state.json", "--obs=q1*p1", "--obs=p1"),
+    ("check", "--state", "ground", "--obs=q1", "--obs=p1", "--obs=q1+p1", "--json"),
+    ("intelligent", "--state", "ground", "--obs=q1", "--obs=p1", "--obs=2*q1-p1"),
+    ("check", "--state", "squeezed:2", "--obs=q1*q1", "--obs=p1", "--obs=q1+p1"),
+    ("check", "--state", "ground", "--obs=q1", "--obs=q2", "--obs=p1", "--obs=p2", "--json"),
+    ("intelligent", "--state", "ground", "--obs=q1", "--obs=q2", "--obs=p1", "--obs=p2"),
+    ("check", "--state", "correlated:1/4*h", "--obs=q1", "--obs=p1", "--json"),
+    ("check", "--state", "ground", "--obs=q1 +* p1"),
+)
+
+#: the exact-kernel fault: the third observable is -x1 - 8*x2, so the
+#: covariance part is exactly singular, yet the run exits 3
+KERNEL_FAULT = (
+    "check", "--state", "kernel_fault.json",
+    "--obs=-2*q1*p1", "--obs=-3/2-q1", "--obs=12+8*q1+2*q1*p1",
+)
+
+
+def _write_state_files(directory) -> None:
+    for name, data in STATE_FILES.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+
+
+def _main(argv):
+    """(exit code, stdout) of one in-process call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DQ_DEFAULT_ORDER", raising=False)
+    _write_state_files(tmp_path)
+    return tmp_path
+
+
+def _golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return {tuple(case["argv"]): case for case in json.load(fh)}
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_output_matches_golden(workdir, argv):
+    case = _golden()[argv]
+    assert _main(argv) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.xfail(strict=True, reason="exact kernel() truncates over series pivots")
+def test_exactly_singular_covariance_is_decided(workdir):
+    code, _ = _main(KERNEL_FAULT)
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED)
+
+
+def test_usage_error_exits_with_usage_code(workdir):
+    # argparse reads "-2*q1" as an option, so the value is missing
+    argv = ["check", "--state", "ground", "--obs", "-2*q1", "--obs", "p1"]
+    assert _main(argv)[0] == cli.EXIT_USAGE
+    assert _main(["check", "--state", "ground"])[0] == cli.EXIT_USAGE
+    assert _main(["no-such-command"])[0] == cli.EXIT_USAGE
+
+
+def test_help_exits_zero(workdir):
+    code, out = _main(["check", "--help"])
+    assert code == cli.EXIT_OK
+    assert "--obs=EXPR" in out
+
+
+def test_leading_minus_observable_with_equals_form(workdir):
+    code, out = _main(["check", "--state", "ground", "--obs=-2*q1", "--obs=p1"])
+    assert code == cli.EXIT_OK
+    assert out.startswith("RS: saturated")
+
+
+def test_order_does_not_leak_between_calls(workdir, monkeypatch):
+    before = default_order()
+    argv = ["check", "--state", "ground", "--obs=q1", "--obs=p1", "--order", "16"]
+    assert _main(argv)[0] == cli.EXIT_OK
+    assert default_order() == before
+    monkeypatch.setenv("DQ_DEFAULT_ORDER", "5")
+    assert _main(argv[:-2])[0] == cli.EXIT_OK
+    assert default_order() == before
+    assert _main(["field", "eval", "1 +* h", "--order", "3"])[0] == cli.EXIT_USAGE
+    assert default_order() == before
+
+
+def _record() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        os.environ.pop("DQ_DEFAULT_ORDER", None)
+        _write_state_files(tmp)
+        cases = []
+        for argv in INVOCATIONS:
+            code, out = _main(argv)
+            cases.append({"argv": list(argv), "exit": code, "stdout": out})
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    sys.exit(_record())
