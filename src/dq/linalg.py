@@ -4,12 +4,13 @@ Matrices may carry exact rationals (``fractions.Fraction``), real series
 (:class:`dq.series.Series`), or complexified series entries; everything is
 duck-typed through ``+ - * /`` plus the zero/sign classifiers below.
 
-Determinants use fraction-free (Bareiss) elimination: intermediate entries
-are minors of the input, so for exact entries every division is exact and
-an exactly singular matrix yields an exact zero.  Symmetric congruence
-reduction returns ``D`` with ``D^T S D`` diagonal; inertia read off the
-diagonal classifies hermitian forms via the doubled real embedding, never
-leaving the field.
+One fraction-free (Bareiss) elimination step does all the elimination:
+``determinant``, ``kernel`` and ``congruence_diagonalize`` differ only in
+their pivot choice.  Intermediate entries are minors of the input, so for
+exact entries every division is exact, nothing is truncated, and an exactly
+singular matrix yields an exact zero.  Hermitian congruence reduction
+returns ``D`` with ``D^H S D`` diagonal; the inertia read off that diagonal
+classifies hermitian forms without leaving the field.
 
 The check_* functions turn the determinant inequalities satisfied by
 non-negative definite hermitian forms over any ordered field (det of the
@@ -27,6 +28,7 @@ from .errors import (
     DimensionTooSmall,
     HermitianViolation,
     IndeterminateAtTruncation,
+    InexactDivision,
     InternalConsistencyError,
     PreconditionViolated,
 )
@@ -39,6 +41,7 @@ from .series import (
     Sign,
     ZERO,
     cagree_mod_trunc,
+    exact_div,
 )
 
 
@@ -93,7 +96,37 @@ def _require_square(matrix):
 
 
 # ---------------------------------------------------------------------------
-# determinants and kernels
+# fraction-free elimination
+
+
+def _bareiss_step(rows, k, start, pivot, leads, prev) -> None:
+    """row_j <- (pivot * row_j - lead_j * row_k) / prev for the rows j after
+    k, over the columns from ``start``; ``leads`` holds lead_j for each j.
+
+    Entries stay minors of the input, so for exact entries the division by
+    the previous pivot is exact and nothing truncates.
+    """
+    row_k = rows[k]
+    width = range(start, len(row_k))
+    divide = zeroness(prev - 1) is not Zeroness.ZERO  # no division by 1
+    for row, lead in zip(rows[k + 1 :], leads):
+        for c in width:
+            x = pivot * row[c] - lead * row_k[c]
+            row[c] = x / prev if divide else x
+
+
+def _first_nonzero(entries, what: str):
+    """Index of the first exactly nonzero entry; None when every entry is
+    exactly zero; raises when none is nonzero and one is undecided."""
+    undecided = False
+    for i, x in enumerate(entries):
+        z = zeroness(x)
+        if z is Zeroness.NONZERO:
+            return i
+        undecided = undecided or z is Zeroness.UNDECIDED
+    if undecided:
+        raise IndeterminateAtTruncation(f"{what} is zero modulo the stored truncation")
+    return None
 
 
 def determinant(matrix):
@@ -108,192 +141,123 @@ def determinant(matrix):
     prev = one
     flip = False
     for k in range(n - 1):
-        piv = None
-        undecided = False
-        for r in range(k, n):
-            z = zeroness(a[r][k])
-            if z is Zeroness.NONZERO:
-                piv = r
-                break
-            if z is Zeroness.UNDECIDED:
-                undecided = True
+        piv = _first_nonzero([a[r][k] for r in range(k, n)], f"pivot column {k}")
         if piv is None:
-            if undecided:
-                raise IndeterminateAtTruncation(
-                    f"pivot column {k} is zero modulo the stored truncation"
-                )
             return zero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+        if piv:
+            a[k], a[k + piv] = a[k + piv], a[k]
             flip = not flip
         pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            lead = row_i[k]
-            row_k = a[k]
-            if prev is one:
-                for j in range(k + 1, n):
-                    row_i[j] = pivot * row_i[j] - lead * row_k[j]
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - lead * row_k[j]) / prev
+        _bareiss_step(a, k, k + 1, pivot, [a[j][k] for j in range(k + 1, n)], prev)
         prev = pivot
     det = a[n - 1][n - 1]
     return -det if flip else det
 
 
 def kernel(matrix):
-    """Basis of the null space, each vector scaled to leading entry 1."""
+    """Basis of the null space, one vector per non-pivot column.
+
+    A fraction-free echelon pass and fraction-free back substitution give
+    each vector with the rank minor at its free column, so every entry is a
+    minor of the input.  A vector is scaled to leading entry 1 when that
+    division is exact; otherwise it is returned fraction-free.
+    """
     rows = [list(row) for row in matrix]
     if not rows:
         return []
     ncols = len(rows[0])
     zero, one = _units_like(rows[0][0])
     pivots: list[int] = []
-    r = 0
+    prev = one
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            z = zeroness(rows[i][c])
-            if z is Zeroness.NONZERO:
-                piv = i
-                break
-            if z is Zeroness.UNDECIDED:
-                raise IndeterminateAtTruncation(
-                    f"rank undecidable: entry ({i},{c}) is zero modulo truncation"
-                )
+        r = len(pivots)
+        piv = _first_nonzero([row[c] for row in rows[r:]], f"rank undecidable: column {c}")
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and zeroness(rows[i][c]) is not Zeroness.ZERO:
-                m = rows[i][c]
-                rows[i] = [x - m * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[r + piv] = rows[r + piv], rows[r]
+        pivot = rows[r][c]
+        _bareiss_step(rows, r, c + 1, pivot, [row[c] for row in rows[r + 1 :]], prev)
         pivots.append(c)
-        r += 1
+        prev = pivot
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
-        vec[fc] = one
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        lead = next(x for x in vec if zeroness(x) is Zeroness.NONZERO)
-        basis.append(tuple(x / lead for x in vec))
+        vec[fc] = prev
+        for i in reversed(range(len(pivots))):
+            row = rows[i]
+            acc = zero
+            for c in pivots[i + 1 :] + [fc]:
+                acc = acc + row[c] * vec[c]
+            vec[pivots[i]] = -acc / row[pivots[i]]
+        basis.append(_lead_one(vec))
     return basis
 
 
-def congruence_diagonalize(matrix, scaled: bool = False):
-    """Symmetric reduction: returns (D, diag) with D^T S D = diag(diag).
+def _lead_one(vec) -> tuple:
+    """vec scaled to leading entry 1 if that division is exact, else vec."""
+    lead = next(x for x in vec if zeroness(x) is Zeroness.NONZERO)
+    try:
+        if isinstance(lead, Series):
+            return tuple(exact_div(x, lead) for x in vec)
+        if isinstance(lead, ComplexSeries):
+            den = lead.abs2()
+            return tuple(
+                ComplexSeries(exact_div(y.re, den), exact_div(y.im, den))
+                for y in (x * lead.conj() for x in vec)
+            )
+    except InexactDivision:
+        return tuple(vec)
+    return tuple(x / lead for x in vec)
 
-    Zero leading pivots are repaired by symmetric swaps to a nonzero
-    diagonal entry, or, when the whole remaining diagonal vanishes, by
-    folding one hyperbolic off-diagonal pair into the diagonal (adding row
-    and column m to row and column l turns S[l][l] into 2 S[l][m]).
 
-    With ``scaled`` the update is division-free (column j is replaced by
-    pivot * column j - S[k][j] * column k); the diagonal is rescaled by
-    squares, which preserves inertia, and exact inputs stay exact even
-    where a field division would have truncated.  Entries can swell, so
-    this is the fallback mode, not the default.
+def congruence_diagonalize(matrix):
+    """Hermitian (or real symmetric) reduction: returns (D, diag) with
+    D^H S D = diag(diag).
+
+    Fraction-free: diag[k] = p_{k-1} p_k, the product of consecutive
+    leading minors (p_{-1} = 1) of S after its repairs, and every entry of
+    D is a minor, so exact input gives exact output.  Zero pivots are
+    repaired by symmetric swaps to a nonzero diagonal entry, or, when the
+    whole remaining diagonal vanishes, by the fold v = e_l + S[m][l] e_m
+    of a nonzero off-diagonal entry, whose value is 2 |S[l][m]|^2.
     """
     n = _require_square(matrix)
     a = [list(row) for row in matrix]
     zero, one = _units_like(a[0][0])
-    d = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    dt = [[one if i == j else zero for j in range(n)] for i in range(n)]  # columns of D
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in d:
-            row[i], row[j] = row[j], row[i]
+        dt[i], dt[j] = dt[j], dt[i]
 
+    prev = one
+    diag = [zero] * n
     for k in range(n):
         if zeroness(a[k][k]) is not Zeroness.NONZERO:
-            found = None
-            for l in range(k, n):
-                z = zeroness(a[l][l])
-                if z is Zeroness.NONZERO:
-                    found = l
-                    break
-                if z is Zeroness.UNDECIDED:
-                    raise IndeterminateAtTruncation(
-                        f"diagonal entry {l} is zero modulo truncation"
-                    )
+            found = _first_nonzero([a[l][l] for l in range(k, n)], f"diagonal from entry {k}")
             if found is not None:
-                swap(k, found)
+                swap(k, k + found)
             else:
-                pair = None
-                for l in range(k, n):
-                    for m in range(l + 1, n):
-                        z = zeroness(a[l][m])
-                        if z is Zeroness.NONZERO:
-                            pair = (l, m)
-                            break
-                        if z is Zeroness.UNDECIDED:
-                            raise IndeterminateAtTruncation(
-                                f"entry ({l},{m}) is zero modulo truncation"
-                            )
-                    if pair:
-                        break
-                if pair is None:
+                pairs = [(l, m) for l in range(k, n) for m in range(l + 1, n)]
+                found = _first_nonzero([a[l][m] for l, m in pairs], f"block from entry {k}")
+                if found is None:
                     break  # remaining block is exactly zero
-                l, m = pair
-                a[l] = [x + y for x, y in zip(a[l], a[m])]
+                l, m = pairs[found]
+                s, t = a[m][l], a[l][m]  # v = e_l + s e_m; t = conj(s), S hermitian
+                a[l] = [x + t * y for x, y in zip(a[l], a[m])]
                 for row in a:
-                    row[l] = row[l] + row[m]
-                for row in d:
-                    row[l] = row[l] + row[m]
+                    row[l] = row[l] + s * row[m]
+                dt[l] = [x + s * y for x, y in zip(dt[l], dt[m])]
                 if l != k:
                     swap(k, l)
         pivot = a[k][k]
-        leads = [a[k][j] for j in range(k + 1, n)]
-        eliminate = [zeroness(x) is not Zeroness.ZERO for x in leads]
-        if scaled:
-            for j in range(k + 1, n):
-                if not eliminate[j - k - 1]:
-                    continue
-                lead = leads[j - k - 1]
-                for row in a:
-                    row[j] = pivot * row[j] - lead * row[k]
-                a[j] = [pivot * x - lead * y for x, y in zip(a[j], a[k])]
-                for row in d:
-                    row[j] = pivot * row[j] - lead * row[k]
-        else:
-            mults = [
-                lead / pivot if elim else None
-                for lead, elim in zip(leads, eliminate)
-            ]
-            for i in range(k + 1, n):
-                mi = mults[i - k - 1]
-                if mi is None:
-                    continue
-                row_k = a[k]
-                a[i] = [x - mi * y for x, y in zip(a[i], row_k)]
-            for row_idx in range(n):
-                row = a[row_idx]
-                base = row[k]
-                if zeroness(base) is Zeroness.ZERO:
-                    continue
-                for j in range(k + 1, n):
-                    mj = mults[j - k - 1]
-                    if mj is not None:
-                        row[j] = row[j] - mj * base
-            for r in range(n):
-                base = d[r][k]
-                if zeroness(base) is Zeroness.ZERO:
-                    continue
-                for j in range(k + 1, n):
-                    mj = mults[j - k - 1]
-                    if mj is not None:
-                        d[r][j] = d[r][j] - mj * base
-        for j in range(k + 1, n):
-            a[k][j] = zero
-            a[j][k] = zero
-    return tuple(tuple(row) for row in d), tuple(a[k][k] for k in range(n))
+        diag[k] = prev * pivot
+        _bareiss_step(dt, k, 0, pivot, a[k][k + 1 :], prev)
+        _bareiss_step(a, k, k + 1, pivot, [a[j][k] for j in range(k + 1, n)], prev)
+        prev = pivot
+    return tuple(zip(*dt)), tuple(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -381,41 +345,24 @@ class Definiteness(Enum):
     INDEFINITE = "indefinite"
 
 
-def real_embedding(form: HermitianForm):
-    """2n x 2n symmetric matrix whose quadratic form at (x, y) equals
-    the hermitian form at v = x + i y."""
-    rs = split(form)
-    n = form.n
-    top = [list(rs.a[j]) + [-rs.b[j][k] for k in range(n)] for j in range(n)]
-    bot = [list(rs.b[j]) + list(rs.a[j]) for j in range(n)]
-    return tuple(tuple(row) for row in top + bot)
-
-
 def is_nonneg_definite(form: HermitianForm):
     """Classify the form; returns (Definiteness, witness-or-None).
 
-    The witness v satisfies form(v, v) < 0 and is produced from the
-    congruence transform column that exposes a negative diagonal entry.
+    The witness v satisfies form(v, v) < 0: it is the column of the
+    congruence transform that exposes a negative diagonal entry.
     """
-    n = form.n
-    emb = real_embedding(form)
-    try:
-        d, diag = congruence_diagonalize(emb)
-    except IndeterminateAtTruncation:
-        # field divisions truncated away an exact cancellation; the
-        # division-free reduction keeps exact inputs exact
-        d, diag = congruence_diagonalize(emb, scaled=True)
+    d, diag = congruence_diagonalize(form.entries)
     seen_zero = False
     for j, entry in enumerate(diag):
-        s = sign_of(entry)
+        if entry.im.terms:
+            raise InternalConsistencyError("hermitian congruence gave a non-real diagonal")
+        s = entry.re.sign()
         if s is Sign.INDETERMINATE:
             raise IndeterminateAtTruncation(
                 f"inertia undecidable: diagonal entry {j} has no determinate sign"
             )
         if s is Sign.NEGATIVE:
-            witness = tuple(
-                ComplexSeries(d[k][j], d[n + k][j]) for k in range(n)
-            )
+            witness = tuple(row[j] for row in d)
             value = hermitian_quadratic(form, witness)
             if value.im.terms or value.re.sign() is not Sign.NEGATIVE:
                 raise InternalConsistencyError(

@@ -15,6 +15,10 @@ Observable expression grammar:
     prod    := pow { "*" pow }
     pow     := atom [ "^" positive-integer ]
     atom    := "q" index | "p" index | "i" | "h" | rational | "(" sum ")"
+             | "-" pow                     (a "-" not followed by a digit)
+
+A "-" followed by a digit starts a signed rational, so ``-2^2`` is 4, while
+``-q1^2`` is -(q1^2).
 
 Both parsers report failures as :class:`ExprSyntaxError` carrying the
 offending position.
@@ -182,6 +186,9 @@ def _parse_atom(c: _Cursor, d: int, text: str) -> Observable:
         if tok.text == "i":
             return constant(d, I_UNIT)
         return constant(d, ComplexSeries(series([(1, 1)])))
+    if tok.kind == "op" and tok.text == "-" and c.tokens[c.i + 1].kind != "num":
+        c.advance()
+        return -_parse_pow(c, d, text)
     if tok.kind == "num" or (tok.kind == "op" and tok.text == "-"):
         return constant(d, ComplexSeries(series([(0, _parse_rational(c))])))
     if c.accept("("):
@@ -199,7 +206,7 @@ def _parse_atom(c: _Cursor, d: int, text: str) -> Observable:
         if not c.accept(")"):
             c.fail("expected ')'")
         return inner
-    c.fail("expected q<i>, p<i>, 'i', 'h', a rational, or '('")
+    c.fail("expected q<i>, p<i>, 'i', 'h', a rational, '-' or '('")
 
 
 def _parse_pow(c: _Cursor, d: int, text: str) -> Observable:

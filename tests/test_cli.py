@@ -53,8 +53,8 @@ INVOCATIONS = (
     ("check", "--state", "ground", "--obs=q1 +* p1"),
 )
 
-#: the exact-kernel fault: the third observable is -x1 - 8*x2, so the
-#: covariance part is exactly singular, yet the run exits 3
+#: the third observable is -x1 - 8*x2, so the covariance part is exactly
+#: singular; a kernel that divided by series pivots truncated here and exited 3
 KERNEL_FAULT = (
     "check", "--state", "kernel_fault.json",
     "--obs=-2*q1*p1", "--obs=-3/2-q1", "--obs=12+8*q1+2*q1*p1",
@@ -94,10 +94,11 @@ def test_output_matches_golden(workdir, argv):
     assert _main(argv) == (case["exit"], case["stdout"])
 
 
-@pytest.mark.xfail(strict=True, reason="exact kernel() truncates over series pivots")
 def test_exactly_singular_covariance_is_decided(workdir):
-    code, _ = _main(KERNEL_FAULT)
-    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATED)
+    code, out = _main(KERNEL_FAULT)
+    assert code == cli.EXIT_OK
+    assert out.startswith("RS: saturated")
+    assert "ideal direction: [1, 8, 1]" in out
 
 
 def test_usage_error_exits_with_usage_code(workdir):
@@ -116,6 +117,12 @@ def test_help_exits_zero(workdir):
 
 def test_leading_minus_observable_with_equals_form(workdir):
     code, out = _main(["check", "--state", "ground", "--obs=-2*q1", "--obs=p1"])
+    assert code == cli.EXIT_OK
+    assert out.startswith("RS: saturated")
+
+
+def test_unary_minus_observable(workdir):
+    code, out = _main(["check", "--state", "ground", "--obs=-q1", "--obs=p1"])
     assert code == cli.EXIT_OK
     assert out.startswith("RS: saturated")
 

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from dq.errors import (
     DimensionTooSmall,
@@ -29,13 +31,13 @@ from dq.linalg import (
     hermitian_quadratic,
     is_nonneg_definite,
     kernel,
-    real_embedding,
     split,
 )
 from dq.proptests import classify_gram, rand_gram
 from dq.series import (
     HBAR,
     I_UNIT,
+    INF,
     ComplexSeries,
     ONE,
     Sign,
@@ -129,20 +131,21 @@ class TestDeterminant:
 class TestCongruence:
     def test_textbook_example(self):
         d, diag = congruence_diagonalize([[F(2), F(1)], [F(1), F(2)]])
-        assert diag == (F(2), F(3, 2))
-        assert d == ((F(1), F(-1, 2)), (F(0), F(1)))
+        assert diag == (F(2), F(6))
+        assert d == ((F(1), F(-1)), (F(0), F(2)))
 
     def test_diagonal_input_untouched(self):
         d, diag = congruence_diagonalize([[F(3), F(0)], [F(0), F(-2)]])
-        assert diag == (F(3), F(-2))
-        assert d == ((F(1), F(0)), (F(0), F(1)))
+        assert diag == (F(3), F(-18))
+        assert d == ((F(1), F(0)), (F(0), F(3)))
 
     def test_hyperbolic_split(self):
         s = [[F(0), F(1)], [F(1), F(0)]]
         d, diag = congruence_diagonalize(s)
-        assert diag == (F(2), F(-1, 2))
+        assert diag == (F(2), F(-2))
+        assert d == ((F(1), F(-1)), (F(1), F(1)))
         dt_s_d = mat_mul(transpose(d), mat_mul(s, [list(r) for r in d]))
-        assert dt_s_d == [[F(2), F(0)], [F(0), F(-1, 2)]]
+        assert dt_s_d == [[F(2), F(0)], [F(0), F(-2)]]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_postcondition_random(self, seed):
@@ -212,19 +215,6 @@ class TestDefiniteness:
         value = hermitian_quadratic(form, witness)
         assert value.re.sign() is Sign.NEGATIVE and not value.im.terms
         assert self.grid_classify(form) is Definiteness.INDEFINITE
-
-    def test_embedding_matches_quadratic(self):
-        form = hermitian_form([[2, 1 + I1], [1 - I1, 3]])
-        emb = real_embedding(form)
-        # v = x + i y against the doubled real form
-        x = [F(1), F(-2)]
-        y = [F(2), F(1)]
-        z = [rational(c) for c in x + y]
-        got = sum_entries(
-            z[i] * emb[i][j] * z[j] for i in range(4) for j in range(4)
-        )
-        v = [ComplexSeries(rational(x[j]), rational(y[j])) for j in range(2)]
-        assert hermitian_quadratic(form, v).re == got
 
     def test_gram_forms_never_indefinite(self):
         rng = random.Random(5)
@@ -358,6 +348,110 @@ class TestKernel:
         for vec in kernel(m):
             image = [sum_entries(m[i][j] * vec[j] for j in range(4)) for i in range(4)]
             assert all(x == 0 for x in image)
+
+
+T = sp.Symbol("t", positive=True)
+
+
+def to_sympy(x):
+    """An exact dq scalar as a polynomial in t, with h = t^2."""
+    if isinstance(x, ComplexSeries):
+        return to_sympy(x.re) + sp.I * to_sympy(x.im)
+    if isinstance(x, F):
+        return sp.Rational(x.numerator, x.denominator)
+    assert x.trunc == INF, f"inexact {x!r}"
+    out = sp.Integer(0)
+    for e, c in x.terms:
+        assert (2 * e).denominator == 1, f"exponent {e} off the half-integer grid"
+        out += sp.Rational(c.numerator, c.denominator) * T ** int(2 * e)
+    return out
+
+
+def sympy_matrix(m):
+    return sp.Matrix([[to_sympy(x) for x in row] for row in m])
+
+
+def rand_entry(rng, complex_entries: bool):
+    """An exact series with exponents in {0, 1/2, 1, 2}, or a pair of them."""
+    exps = (0, F(1, 2), 1, 2)
+
+    def part():
+        return series([(rng.choice(exps), rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))])
+
+    return ComplexSeries(part(), part()) if complex_entries else part()
+
+
+def rand_matrix(rng, rows, cols, complex_entries=False):
+    return [[rand_entry(rng, complex_entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def lowest_coefficient(expr):
+    """Coefficient of the lowest power of t in a nonzero polynomial."""
+    return sp.Poly(sp.expand(expr), T).terms()[-1][1]
+
+
+class TestSympyOracles:
+    """Elimination over series checked against sympy over Q(h), h = t^2."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_determinant(self, complex_entries):
+        rng = random.Random(21 + complex_entries)
+        for trial in range(12):
+            n = 2 + trial % 3
+            m = rand_matrix(rng, n, n, complex_entries)
+            if trial % 4 == 3:  # an exactly singular matrix
+                m[-1] = [sum_entries(x * c for x, c in zip(col, (ONE + HBAR, h(F(1, 2)))))
+                         for col in zip(m[0], m[1])]
+            got = determinant(m)
+            want = sp.expand(sympy_matrix(m).det(method="berkowitz"))
+            assert sp.expand(to_sympy(got) - want) == 0
+            if want == 0:
+                assert got.is_zero
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_kernel(self, complex_entries):
+        rng = random.Random(31 + complex_entries)
+        for trial in range(10):
+            rows, cols, rank = ((3, 3, 2), (3, 4, 2), (4, 4, 2), (4, 3, 1), (2, 4, 2))[trial % 5]
+            m = mat_mul(rand_matrix(rng, rows, rank, complex_entries),
+                        rand_matrix(rng, rank, cols, complex_entries))
+            sm = DomainMatrix.from_Matrix(sympy_matrix(m))
+            basis = kernel(m)
+            assert len(basis) == cols - sm.to_field().rank()
+            for vec in basis:
+                sv = DomainMatrix.from_Matrix(sympy_matrix([vec]).T)
+                assert not sv.is_zero_matrix
+                assert (sm * sv).is_zero_matrix
+
+    def test_kernel_fraction_free_when_lead_one_is_inexact(self):
+        # the null vector (1 + h, -1) has no lead-1 scaling among polynomials
+        m = [[ONE, ONE + HBAR], [ONE, ONE + HBAR]]
+        assert kernel(m) == [(-(ONE + HBAR), ONE)]
+
+    def test_gram_form_class(self):
+        rng = random.Random(41)
+        forms = [rand_gram(rng, 2 + t % 2, "series", singular=t % 2 == 1) for t in range(12)]
+        forms.append(rand_gram(random.Random(1), 3, "series", singular=True))
+        seen = set()
+        for form in forms:
+            det_phi = sp.expand(sympy_matrix(form.entries).det(method="berkowitz"))
+            cls, witness = is_nonneg_definite(form)
+            assert witness is None
+            want = Definiteness.POSITIVE_DEFINITE if det_phi != 0 else Definiteness.NONNEG_DEFINITE
+            assert cls is want
+            seen.add(cls)
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("scale", [ONE, HBAR])
+    def test_imaginary_hyperbolic_pair_is_indefinite(self, scale):
+        form = hermitian_form([[ZERO, I1 * scale], [-I1 * scale, ZERO]])
+        cls, witness = is_nonneg_definite(form)
+        assert cls is Definiteness.INDEFINITE
+        s = sympy_matrix(form.entries)
+        v = sp.Matrix([to_sympy(x) for x in witness])
+        value = sp.expand((v.H * s * v)[0])
+        assert sp.expand(sp.im(value)) == 0
+        assert lowest_coefficient(value) < 0
 
 
 class TestMatrixJson:

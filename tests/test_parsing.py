@@ -92,6 +92,24 @@ class TestObservableGrammar:
         f = parse_observable("-1*q1 + 2*p1")
         assert f.coefficient((1, 0)).re == -ONE
 
+    def test_unary_minus(self):
+        q, p = coordinate(1, "q", 1), coordinate(1, "p", 1)
+        for text in ("-q1", "-(q1)", "- q1", "-1*q1"):
+            assert parse_observable(text) == -q
+        assert parse_observable("-q1^2") == -(q * q)
+        assert parse_observable("p1 - -q1") == p + q
+        assert parse_observable("2*-(q1 + p1)") == -(q + p) * 2
+        assert parse_observable("-(3/2)") == constant(1, F(-3, 2))
+
+    def test_signed_number_literals_unchanged(self):
+        assert parse_observable("-2^2") == constant(1, 4)
+        assert parse_observable("-3/2") == constant(1, F(-3, 2))
+
+    def test_lone_minus_rejected(self):
+        for text in ("-", "q1 - ", "--"):
+            with pytest.raises(ExprSyntaxError):
+                parse_observable(text, 1)
+
     def test_i_arithmetic(self):
         f = parse_observable("i^2")
         assert f == constant(1, -1)
