@@ -43,12 +43,10 @@ from .series import (
     Sign,
     ZERO,
     compare,
-    default_order,
     h,
     metric,
     rational,
     series,
-    set_default_order,
     valuation,
 )
 from .states import (

@@ -12,9 +12,9 @@ Write ``--obs=EXPR`` when an expression starts with ``-`` (``--obs=-2*q1``);
 ``--obs -2*q1`` reads ``-2*q1`` as an option.
 
 Exit codes: 0 all good, 1 usage/parse errors, 2 a relation was violated
-(a falsified inequality), 3 a decision was indeterminate at the working
-truncation (raise ``--order``).  ``DQ_DEFAULT_ORDER`` presets the order;
-either setting holds for one call of :func:`main` only.
+(a falsified inequality), 3 a sign or zero decision was undecidable at the
+stored truncation.  Every input the CLI builds is exact and the checks do
+not truncate, so exit 3 marks a defect, not a precision the user can raise.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import DQError, ExprSyntaxError, IndeterminateAtTruncation
 from .linalg import Relation
 from .parsing import infer_dof, parse_observable, parse_series
 from .proptests import SUITES, run_suite
-from .series import ComplexSeries, default_order, set_default_order
+from .series import ComplexSeries
 from .states import GaussianState, correlated, ground, load_state, squeezed
 from .uncertainty import RelationChecks, check_relations
 
@@ -45,16 +45,6 @@ STATUS = {
     Relation.VIOLATED: "violated",
     Relation.INDETERMINATE: "indeterminate",
 }
-
-
-def _apply_order(args) -> None:
-    order = getattr(args, "order", None)
-    if order is None:
-        env = os.environ.get("DQ_DEFAULT_ORDER")
-        if env:
-            order = env
-    if order is not None:
-        set_default_order(Fraction(order))
 
 
 def _resolve_state(spec: str, d: int) -> GaussianState:
@@ -237,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="EXPR",
             help="observable expression (repeatable); write --obs=EXPR when EXPR starts with '-'",
         )
-        p.add_argument("--order", default=None, help="working truncation order")
+        # never read: the checks are exact.  Still parsed (a malformed value
+        # is a usage error) because the benchmark corpus passes --order on
+        # every invocation; the flag goes with the next benchmark change.
+        p.add_argument("--order", type=Fraction, help="ignored: the checks are exact")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_relations, render=render)
 
@@ -256,21 +249,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
-    order = default_order()
     try:
-        _apply_order(args)
         return args.func(args)
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IndeterminateAtTruncation as exc:
-        print(f"indeterminate at truncation: {exc} (raise --order)", file=sys.stderr)
+        print(f"indeterminate at truncation: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (DQError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        set_default_order(order)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ classifies hermitian forms without leaving the field.
 The check_* functions turn the determinant inequalities satisfied by
 non-negative definite hermitian forms over any ordered field (det of the
 real part dominating det of the form and det of the skew part, Hadamard
-style products, trace bounds) into exact, reportable predicates.
+style products, trace bounds) into exact, reportable predicates.  Each
+takes the form's class as :func:`is_nonneg_definite` returns it, so a
+caller running several checks classifies the form once.
 """
 
 from __future__ import annotations
@@ -275,14 +277,6 @@ class HermitianForm:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RealSplit:
-    """Symmetric real part and skew imaginary part of a hermitian form."""
-
-    a: tuple[tuple[Series, ...], ...]
-    b: tuple[tuple[Series, ...], ...]
-
-
 def hermitian_form(rows) -> HermitianForm:
     entries = tuple(tuple(_as_centry(x) for x in row) for row in rows)
     n = len(entries)
@@ -307,10 +301,11 @@ def _as_centry(x) -> ComplexSeries:
     raise TypeError(f"bad hermitian entry {type(x).__name__}")
 
 
-def split(form: HermitianForm) -> RealSplit:
+def split(form: HermitianForm):
+    """(a, b): the symmetric real part and the skew imaginary part."""
     a = tuple(tuple(e.re for e in row) for row in form.entries)
     b = tuple(tuple(e.im for e in row) for row in form.entries)
-    return RealSplit(a, b)
+    return a, b
 
 
 def gram_form(rows) -> HermitianForm:
@@ -410,23 +405,20 @@ def relation_of(lhs, rhs) -> Relation:
     return Relation.INDETERMINATE
 
 
-def _classify(form: HermitianForm, definiteness: Definiteness | None) -> Definiteness:
-    if definiteness is None:
-        definiteness = is_nonneg_definite(form)[0]
+def _require_nonneg(definiteness: Definiteness) -> None:
+    if not isinstance(definiteness, Definiteness):
+        raise TypeError("pass the form's class, as is_nonneg_definite returns it")
     if definiteness is Definiteness.INDEFINITE:
         raise PreconditionViolated("form is indefinite")
-    return definiteness
 
 
-def check_robertson(
-    form: HermitianForm, definiteness: Definiteness | None = None
-) -> InequalityReport:
+def check_robertson(form: HermitianForm, definiteness: Definiteness) -> InequalityReport:
     """det(real part) dominates det(skew part) for non-negative forms;
     strictly for positive definite ones, and both vanish together."""
-    definiteness = _classify(form, definiteness)
-    rs = split(form)
-    det_a = determinant(rs.a)
-    det_b = determinant(rs.b)
+    _require_nonneg(definiteness)
+    a, b = split(form)
+    det_a = determinant(a)
+    det_b = determinant(b)
     rel = relation_of(det_a, det_b)
     note = ""
     if rel is Relation.EQUAL and definiteness is Definiteness.POSITIVE_DEFINITE:
@@ -467,16 +459,16 @@ def _is_diagonal(matrix) -> bool:
 
 
 def check_form_determinant_bound(
-    form: HermitianForm, definiteness: Definiteness | None = None
+    form: HermitianForm, definiteness: Definiteness
 ) -> InequalityReport:
     """det(real part) dominates det(form), with equality exactly when the
     real-part determinant vanishes or the form has no skew part."""
-    _classify(form, definiteness)
-    rs = split(form)
-    det_a = determinant(rs.a)
+    _require_nonneg(definiteness)
+    a, b = split(form)
+    det_a = determinant(a)
     det_phi = _real_det(form)
     rel = relation_of(det_a, det_phi)
-    expected_equal = sign_of(det_a) is Sign.ZERO or _is_zero_matrix(rs.b)
+    expected_equal = sign_of(det_a) is Sign.ZERO or _is_zero_matrix(b)
     note = ""
     if rel is not Relation.INDETERMINATE and (rel is Relation.EQUAL) != expected_equal:
         rel = Relation.VIOLATED
@@ -495,34 +487,30 @@ class HadamardReport:
     skew_equality_ok: bool
 
 
-def check_hadamard_chain(
-    form: HermitianForm, definiteness: Definiteness | None = None
-) -> HadamardReport:
+def check_hadamard_chain(form: HermitianForm, definiteness: Definiteness) -> HadamardReport:
     """Diagonal product >= det(real part) >= det(form) and >= det(skew part),
     plus the equality characterizations of both chain collapses."""
-    definiteness = _classify(form, definiteness)
-    rs = split(form)
+    _require_nonneg(definiteness)
+    a, b = split(form)
     n = form.n
-    product = ONE if isinstance(rs.a[0][0], Series) else Fraction(1)
+    product = ONE
     for k in range(n):
-        product = product * form.entries[k][k].re
-    det_a = determinant(rs.a)
-    det_b = determinant(rs.b)
+        product = product * a[k][k]
+    det_a = determinant(a)
+    det_b = determinant(b)
     det_phi = _real_det(form)
     r1 = InequalityReport(product, det_a, relation_of(product, det_a))
     r2 = InequalityReport(det_a, det_phi, relation_of(det_a, det_phi))
     r3 = InequalityReport(det_a, det_b, relation_of(det_a, det_b))
 
-    some_diag_zero = any(
-        sign_of(form.entries[k][k].re) is Sign.ZERO for k in range(n)
-    )
+    some_diag_zero = any(sign_of(a[k][k]) is Sign.ZERO for k in range(n))
     full_equality = r1.relation is Relation.EQUAL and r2.relation is Relation.EQUAL
-    diagonal_case = some_diag_zero or (_is_zero_matrix(rs.b) and _is_diagonal(rs.a))
+    diagonal_case = some_diag_zero or (_is_zero_matrix(b) and _is_diagonal(a))
     diag_ok = full_equality == diagonal_case
 
     skew_equality = relation_of(product, det_b) is Relation.EQUAL
     skew_case = some_diag_zero or (
-        _is_diagonal(rs.a) and relation_of(det_b, det_a) is Relation.EQUAL
+        _is_diagonal(a) and relation_of(det_b, det_a) is Relation.EQUAL
     )
     skew_ok = skew_equality == skew_case
     return HadamardReport(r1, r2, r3, diag_ok, skew_ok)
@@ -557,40 +545,10 @@ def trace_bounds(diagonal, b) -> tuple[InequalityReport, InequalityReport | None
 
 
 def check_trace_bounds(
-    form: HermitianForm, definiteness: Definiteness | None = None
+    form: HermitianForm, definiteness: Definiteness
 ) -> tuple[InequalityReport, InequalityReport | None]:
     """:func:`trace_bounds` of a non-negative form."""
-    rs = split(form)
-    bounds = trace_bounds([rs.a[k][k] for k in range(form.n)], rs.b)
-    _classify(form, definiteness)
-    return bounds
-
-
-# ---------------------------------------------------------------------------
-# matrix file format
-
-
-def form_from_dict(obj: dict) -> HermitianForm:
-    from .parsing import parse_series
-
-    n = int(obj["n"])
-    rows = obj["entries"]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"entries must form an {n}x{n} matrix")
-    return hermitian_form(
-        [
-            [ComplexSeries(parse_series(e["re"]), parse_series(e["im"])) for e in row]
-            for row in rows
-        ]
-    )
-
-
-def form_to_dict(form: HermitianForm) -> dict:
-    return {
-        "n": form.n,
-        "entries": [
-            [{"re": e.re.literal(), "im": e.im.literal()} for e in row]
-            for row in form.entries
-        ],
-    }
+    _require_nonneg(definiteness)
+    a, b = split(form)
+    return trace_bounds([a[k][k] for k in range(form.n)], b)
 

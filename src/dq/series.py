@@ -3,10 +3,15 @@
 Elements are finite sums ``sum_g c_g * h^g`` with exact rational exponents
 ``g`` and exact rational coefficients ``c_g``, plus a truncation order
 recording modulo which power of ``h`` the element is known (``math.inf``
-means the element is exact).  ``h`` behaves as a positive infinitesimal: a
-nonzero element is positive exactly when the coefficient at its least
-exponent is positive, which orders the field but makes the order
-non-Archimedean (``h < 1/n`` for every positive integer ``n``).
+means the element is exact).  Arithmetic on exact elements is exact: a
+quotient of exact elements is exact or raises :class:`InexactDivision`, and
+a truncation enters only through a truncated operand or an explicit
+``order`` argument of :meth:`Series.inv` and :meth:`Series.sqrt`.
+
+``h`` behaves as a positive infinitesimal: a nonzero element is positive
+exactly when the coefficient at its least exponent is positive, which
+orders the field but makes the order non-Archimedean (``h < 1/n`` for
+every positive integer ``n``).
 
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
@@ -34,22 +39,6 @@ INF = math.inf
 Rational = Union[int, Fraction]
 #: truncation orders are Fractions, with math.inf standing for "exact"
 Order = Union[Fraction, float]
-
-_default_order: Fraction = Fraction(8)
-
-
-def default_order() -> Fraction:
-    """Working truncation used when an operation must cut an infinite tail."""
-    return _default_order
-
-
-def set_default_order(order: Rational) -> None:
-    global _default_order
-    order = Fraction(order)
-    if order <= 0:
-        raise ValueError("working order must be positive")
-    _default_order = order
-
 
 class Sign(Enum):
     POSITIVE = "positive"
@@ -198,12 +187,14 @@ class Series:
                 tuple((e - g, cc / c) for e, cc in self.terms),
                 self.trunc - g if self.trunc != INF else INF,
             )
-        if self.trunc == INF and other.trunc == INF:
-            try:
-                return exact_div(self, other)
-            except InexactDivision:
-                pass
-        return self * other.inv()
+        if other.trunc != INF:
+            return self * other.inv()
+        if self.trunc == INF:
+            return exact_div(self, other)
+        if not self.terms:
+            return Series((), self.trunc - other.terms[0][0])
+        # the quotient is known to h^(T - val(other)); so is this product
+        return self * other.inv(self.trunc - self.terms[0][0])
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -236,12 +227,13 @@ class Series:
     # -- field operations beyond the ring ----------------------------------
 
     def inv(self, order: Rational | None = None) -> "Series":
-        """Multiplicative inverse, expanded up to the working precision.
+        """Multiplicative inverse.
 
         The inverse of an exact monomial is exact.  Otherwise the geometric
         series is summed so that ``self * self.inv()`` equals 1 modulo
-        ``h^w`` with ``w`` the working order (exact input) or modulo the
-        window the input truncation supports.
+        ``h^w``: ``w`` is the window the input truncation supports, or
+        ``order`` for an exact input, which then requires it (its inverse
+        is an infinite series) and raises InexactDivision without it.
         """
         if not self.terms:
             if self.trunc == INF:
@@ -253,9 +245,7 @@ class Series:
         lead_inv = Series(((-g0, 1 / c0),))
         if len(self.terms) == 1 and self.trunc == INF:
             return lead_inv
-        window = (
-            Fraction(order) if order is not None else default_order()
-        ) if self.trunc == INF else self.trunc - g0
+        window = self.trunc - g0 if self.trunc != INF else _required_order(order, "inverse")
         # self = c0 h^g0 (1 + u) with val(u) > 0; invert the (1 + u) factor.
         # Terms at or above the window never influence the kept part, so the
         # running power is truncated each step to keep supports small.
@@ -273,7 +263,9 @@ class Series:
 
         Requires a strictly positive element whose leading coefficient is a
         rational square; the leading exponent is halved and the remaining
-        factor is expanded binomially up to the working precision.
+        factor is expanded binomially.  The result is known to the input
+        truncation, or, for an exact input that is not a monomial, to
+        ``h^(val + order)`` with ``order`` required as for :meth:`inv`.
         """
         s = self.sign()
         if s is Sign.INDETERMINATE:
@@ -291,11 +283,7 @@ class Series:
         lead = Series(((g0 / 2, Fraction(rn, rd)),))
         if len(self.terms) == 1 and self.trunc == INF:
             return lead
-        target = (
-            g0 + (Fraction(order) if order is not None else default_order())
-            if self.trunc == INF
-            else self.trunc
-        )
+        target = self.trunc if self.trunc != INF else g0 + _required_order(order, "square root")
         window = target - g0  # precision needed for the (1 + u)^(1/2) factor
         u = (self * Series(((-g0, 1 / c0),)) - ONE).truncate(window)
         acc = ZERO
@@ -373,6 +361,13 @@ def _frac_str(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
+
+
+def _required_order(order: Rational | None, what: str) -> Fraction:
+    """The caller's truncation for an infinite expansion of an exact input."""
+    if order is None:
+        raise InexactDivision(f"the {what} of an exact non-monomial needs an order")
+    return Fraction(order)
 
 
 def _decided(s: Sign) -> Sign:

@@ -11,11 +11,12 @@ a symmetric covariance part ``a`` and a skew part ``b`` with
 * ``sum of variances >= h/(n-1) * sum |rho({X_j,X_k}_star)|``  (trace relation)
 
 A state saturating the second equality is HR-intelligent, one saturating
-the first RS-intelligent; saturation is decided by exact series comparison
-at the stored truncation.  Saturation witnesses are produced through
-membership of deviation combinations in the state's annihilating
-(Gel'fand) ideal.  :func:`check_relations` runs all of this from one
-moment computation.
+the first RS-intelligent; saturation is decided by exact series comparison.
+The states the package builds have exact moments, so a decision can be
+INDETERMINATE only for a state built from truncated series.  Saturation
+witnesses are produced through membership of deviation combinations in the
+state's annihilating (Gel'fand) ideal.  :func:`check_relations` runs all of
+this from one moment computation.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .linalg import (
     zeroness,
 )
 from .observables import Observable, moyal_bracket, require_real, star
-from .series import ComplexSeries, I_UNIT, ONE, Series, Sign, series
+from .series import I_UNIT, ONE, Series, Sign, series
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
@@ -82,9 +83,11 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
     """phi, a, b, the variances and the deviations for the given real
     observables.
 
-    a and b are computed by their own formulas (symmetrized star moment;
-    h/2-scaled bracket moment) and cross-checked against the real and
-    imaginary parts of phi, which is this module's core internal oracle.
+    a is the real part of phi; by linearity it equals the symmetrized star
+    moment, which is real exactly when phi is conjugate symmetric, and that
+    is checked entry by entry.  b is computed by its own formula (the
+    h/2-scaled bracket moment) and cross-checked against the imaginary part
+    of phi, which is this module's core internal oracle.
     """
     xs = list(xs)
     if not xs:
@@ -99,24 +102,19 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
     b = [[None] * n for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
-            sym = state.expect_real(
-                (star(devs[j], devs[k]) + star(devs[k], devs[j])) * Fraction(1, 2),
-                "symmetrized moment",
-            )
-            a[j][k] = sym
-            a[k][j] = sym
-            if j == k:
-                b[j][k] = Series()
-            else:
-                br = half_h * state.expect_real(
-                    moyal_bracket(xs[j], xs[k]), "bracket moment"
-                )
-                b[j][k] = br
-                b[k][j] = -br
-            expected = ComplexSeries(a[j][k], b[j][k])
-            if phi[j][k] != expected:
+            if phi[k][j] != phi[j][k].conj():
                 raise InternalConsistencyError(
-                    f"phi[{j}][{k}] != a + i b: {phi[j][k]!r} vs {expected!r}"
+                    f"phi[{k}][{j}] != conj(phi[{j}][{k}]): {phi[k][j]!r} vs {phi[j][k]!r}"
+                )
+            a[j][k] = a[k][j] = phi[j][k].re
+            if j == k:
+                br = Series()
+            else:
+                br = half_h * state.expect_real(moyal_bracket(xs[j], xs[k]), "bracket moment")
+            b[j][k], b[k][j] = br, -br
+            if phi[j][k].im != br:
+                raise InternalConsistencyError(
+                    f"Im phi[{j}][{k}] != (h/2) rho(bracket): {phi[j][k].im!r} vs {br!r}"
                 )
     return MomentMatrices(
         phi=hermitian_form(phi),

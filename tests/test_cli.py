@@ -1,5 +1,5 @@
 """Command-line tests: golden output of ``dq check``/``dq intelligent`` and
-the exit-code and working-order behaviour of ``cli.main``.
+the exit codes of ``cli.main``.
 
 ``cli_golden.json`` holds the stdout and exit code of every invocation in
 ``INVOCATIONS``.  Regenerate it only for an intended output change:
@@ -18,7 +18,6 @@ import sys
 import pytest
 
 from dq import cli
-from dq.series import default_order
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -78,7 +77,6 @@ def _main(argv):
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DQ_DEFAULT_ORDER", raising=False)
     _write_state_files(tmp_path)
     return tmp_path
 
@@ -94,6 +92,14 @@ def test_output_matches_golden(workdir, argv):
     assert _main(argv) == (case["exit"], case["stdout"])
 
 
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_order_does_not_change_the_output(workdir, argv):
+    # the checks are exact, so --order is accepted and has no effect
+    case = _golden()[argv]
+    for order in ("1", "40"):
+        assert _main(argv + ("--order", order)) == (case["exit"], case["stdout"])
+
+
 def test_exactly_singular_covariance_is_decided(workdir):
     code, out = _main(KERNEL_FAULT)
     assert code == cli.EXIT_OK
@@ -107,6 +113,12 @@ def test_usage_error_exits_with_usage_code(workdir):
     assert _main(argv)[0] == cli.EXIT_USAGE
     assert _main(["check", "--state", "ground"])[0] == cli.EXIT_USAGE
     assert _main(["no-such-command"])[0] == cli.EXIT_USAGE
+    assert _main(["check", "--state", "ground", "--obs=q1", "--order", "x"])[0] == cli.EXIT_USAGE
+    assert _main(["field", "eval", "1 +* h", "--order", "3"])[0] == cli.EXIT_USAGE
+
+
+def test_field_eval_order_truncates_the_literal(workdir):
+    assert _main(["field", "eval", "1 + h + h^2", "--order", "2"]) == (cli.EXIT_OK, "1 + h\n")
 
 
 def test_help_exits_zero(workdir):
@@ -127,24 +139,11 @@ def test_unary_minus_observable(workdir):
     assert out.startswith("RS: saturated")
 
 
-def test_order_does_not_leak_between_calls(workdir, monkeypatch):
-    before = default_order()
-    argv = ["check", "--state", "ground", "--obs=q1", "--obs=p1", "--order", "16"]
-    assert _main(argv)[0] == cli.EXIT_OK
-    assert default_order() == before
-    monkeypatch.setenv("DQ_DEFAULT_ORDER", "5")
-    assert _main(argv[:-2])[0] == cli.EXIT_OK
-    assert default_order() == before
-    assert _main(["field", "eval", "1 +* h", "--order", "3"])[0] == cli.EXIT_USAGE
-    assert default_order() == before
-
-
 def _record() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        os.environ.pop("DQ_DEFAULT_ORDER", None)
         _write_state_files(tmp)
         cases = []
         for argv in INVOCATIONS:

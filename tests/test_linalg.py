@@ -24,8 +24,6 @@ from dq.linalg import (
     check_trace_bounds,
     congruence_diagonalize,
     determinant,
-    form_from_dict,
-    form_to_dict,
     gram_form,
     hermitian_form,
     hermitian_quadratic,
@@ -233,14 +231,20 @@ class TestDefiniteness:
             hermitian_form([[I1, ZERO], [ZERO, 1]])
 
 
+def _classified(rows):
+    """A hermitian form and its class, the arguments of the check_* functions."""
+    form = hermitian_form(rows)
+    return form, is_nonneg_definite(form)[0]
+
+
 class TestRobertson:
     def test_strict_example(self):
-        rep = check_robertson(hermitian_form([[1, I1], [-I1, 2]]))
+        rep = check_robertson(*_classified([[1, I1], [-I1, 2]]))
         assert rep.relation is Relation.STRICTLY_GREATER
         assert rep.lhs == rational(2) and rep.rhs == ONE
 
     def test_equality_example(self):
-        rep = check_robertson(hermitian_form([[1, I1], [-I1, 1]]))
+        rep = check_robertson(*_classified([[1, I1], [-I1, 1]]))
         assert rep.relation is Relation.EQUAL
 
     def test_series_example(self):
@@ -248,23 +252,27 @@ class TestRobertson:
         form = hermitian_form(
             [[HBAR, ComplexSeries(ZERO, half)], [ComplexSeries(ZERO, -half), HBAR]]
         )
-        rep = check_robertson(form)
+        rep = check_robertson(form, is_nonneg_definite(form)[0])
         assert rep.relation is Relation.STRICTLY_GREATER
         assert rep.lhs == h(2) and rep.rhs == h(2, F(1, 4))
 
     def test_rejects_indefinite(self):
         with pytest.raises(PreconditionViolated):
-            check_robertson(hermitian_form([[1, 2 * I1], [-2 * I1, 1]]))
+            check_robertson(*_classified([[1, 2 * I1], [-2 * I1, 1]]))
+
+    def test_requires_the_class(self):
+        with pytest.raises(TypeError):
+            check_robertson(hermitian_form([[1, I1], [-I1, 2]]), None)
 
 
 class TestFormDeterminantBound:
     def test_example(self):
-        rep = check_form_determinant_bound(hermitian_form([[1, I1], [-I1, 2]]))
+        rep = check_form_determinant_bound(*_classified([[1, I1], [-I1, 2]]))
         assert rep.relation is Relation.STRICTLY_GREATER
         assert rep.lhs == rational(2) and rep.rhs == ONE
 
     def test_real_symmetric_equal(self):
-        rep = check_form_determinant_bound(hermitian_form([[2, 1], [1, 2]]))
+        rep = check_form_determinant_bound(*_classified([[2, 1], [1, 2]]))
         assert rep.relation is Relation.EQUAL
 
     def test_gram_generated(self):
@@ -277,13 +285,13 @@ class TestFormDeterminantBound:
 
 class TestHadamardChain:
     def test_diagonal_form_collapses(self):
-        rep = check_hadamard_chain(hermitian_form([[1, ZERO], [ZERO, 2]]))
+        rep = check_hadamard_chain(*_classified([[1, ZERO], [ZERO, 2]]))
         assert rep.product_vs_cov.relation is Relation.EQUAL
         assert rep.cov_vs_form.relation is Relation.EQUAL
         assert rep.diagonal_equality_ok
 
     def test_null_direction_example(self):
-        rep = check_hadamard_chain(hermitian_form([[1, I1], [-I1, 1]]))
+        rep = check_hadamard_chain(*_classified([[1, I1], [-I1, 1]]))
         assert rep.product_vs_cov.relation is Relation.EQUAL
         assert rep.cov_vs_skew.relation is Relation.EQUAL
         assert rep.skew_equality_ok
@@ -300,7 +308,7 @@ class TestHadamardChain:
 
 class TestTraceBounds:
     def test_saturated_example(self):
-        general, pairing = check_trace_bounds(hermitian_form([[1, I1], [-I1, 1]]))
+        general, pairing = check_trace_bounds(*_classified([[1, I1], [-I1, 1]]))
         assert general.relation is Relation.EQUAL
         assert general.lhs == rational(2) and general.rhs == rational(2)
         assert pairing.relation is Relation.EQUAL
@@ -310,14 +318,14 @@ class TestTraceBounds:
         form = hermitian_form(
             [[HBAR, ComplexSeries(ZERO, half)], [ComplexSeries(ZERO, -half), HBAR]]
         )
-        general, _ = check_trace_bounds(form)
+        general, _ = check_trace_bounds(form, is_nonneg_definite(form)[0])
         assert general.relation is Relation.STRICTLY_GREATER
         assert general.lhs == h(2, 1) * rational(2) / HBAR  # 2h
         assert general.rhs == HBAR
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooSmall):
-            check_trace_bounds(hermitian_form([[1]]))
+            check_trace_bounds(*_classified([[1]]))
 
     def test_random_nonneg(self):
         rng = random.Random(9)
@@ -455,19 +463,9 @@ class TestSympyOracles:
 
 
 class TestMatrixJson:
-    def test_roundtrip(self):
-        form = hermitian_form(
-            [[HBAR, ComplexSeries(ZERO, h(1, F(1, 2)))],
-             [ComplexSeries(ZERO, h(1, F(-1, 2))), HBAR]]
-        )
-        data = form_to_dict(form)
-        assert data["n"] == 2
-        assert data["entries"][0][1] == {"re": "0", "im": "1/2*h"}
-        assert form_from_dict(data) == form
-
     def test_split_reconstructs(self):
         form = hermitian_form([[2, 1 + I1], [1 - I1, 3]])
-        rs = split(form)
+        a, b = split(form)
         for j in range(2):
             for k in range(2):
-                assert ComplexSeries(rs.a[j][k], rs.b[j][k]) == form.entries[j][k]
+                assert ComplexSeries(a[j][k], b[j][k]) == form.entries[j][k]
