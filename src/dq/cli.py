@@ -12,9 +12,10 @@ Write ``--obs=EXPR`` when an expression starts with ``-`` (``--obs=-2*q1``);
 ``--obs -2*q1`` reads ``-2*q1`` as an option.
 
 Exit codes: 0 all good, 1 usage/parse errors, 2 a relation was violated
-(a falsified inequality), 3 a sign or zero decision was undecidable at the
-stored truncation.  Every input the CLI builds is exact and the checks do
-not truncate, so exit 3 marks a defect, not a precision the user can raise.
+(a falsified inequality), 3 a sign or zero decision raised
+IndeterminateAtTruncation.  That exception is the only way to exit 3, and
+every input the CLI builds is exact and the checks do not truncate, so
+exit 3 marks a defect, not a precision the user can raise.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ STATUS = {
     Relation.EQUAL: "saturated",
     Relation.STRICTLY_GREATER: "strictly_above",
     Relation.VIOLATED: "violated",
-    Relation.INDETERMINATE: "indeterminate",
 }
 
 
@@ -75,12 +75,8 @@ def _witness_json(witness):
 
 
 def _exit_from(checks: RelationChecks) -> int:
-    relations = {r.relation for _, r in checks.reports}
-    if Relation.VIOLATED in relations:
-        return EXIT_VIOLATED
-    if Relation.INDETERMINATE in relations:
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+    violated = any(r.relation is Relation.VIOLATED for _, r in checks.reports)
+    return EXIT_VIOLATED if violated else EXIT_OK
 
 
 def _cmd_field_eval(args) -> int:
@@ -182,11 +178,19 @@ def _render_intelligent(args, checks: RelationChecks) -> None:
         print(f"ideal direction: {_pretty_direction(checks.direction)}")
 
 
+def _dims(text: str) -> tuple[int, ...]:
+    """The --dims value: comma-separated dimensions, each at least 1."""
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        dims = ()
+    if not dims or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"expected dimensions >= 1 like 2,3, got {text!r}")
+    return dims
+
+
 def _cmd_proptest(args) -> int:
-    dims = None
-    if args.dims:
-        dims = tuple(int(x) for x in args.dims.split(","))
-    report = run_suite(args.suite, args.trials, args.seed, dims)
+    report = run_suite(args.suite, args.trials, args.seed, args.dims)
     for line in report.lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_VIOLATED
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("suite", choices=SUITES)
     p_prop.add_argument("--trials", type=int, default=200)
     p_prop.add_argument("--seed", type=int, default=0)
-    p_prop.add_argument("--dims", default=None, help="comma-separated dimensions")
+    p_prop.add_argument("--dims", type=_dims, default=None, help="comma-separated dimensions")
     p_prop.set_defaults(func=_cmd_proptest)
     return parser
 

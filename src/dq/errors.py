@@ -50,7 +50,7 @@ class IndexOutOfRange(DQError):
 
 
 class MomentDegreeExceeded(DQError):
-    """Moment evaluation above the configured degree cap."""
+    """Moment evaluation above the degree cap."""
 
 
 class InternalConsistencyError(DQError):

@@ -1,8 +1,10 @@
-"""Exact linear algebra over ordered exact scalars.
+"""Exact linear algebra over the series field and its complexification.
 
-Matrices may carry exact rationals (``fractions.Fraction``), real series
-(:class:`dq.series.Series`), or complexified series entries; everything is
-duck-typed through ``+ - * /`` plus the zero/sign classifiers below.
+Matrix entries are real series (:class:`dq.series.Series`) or complexified
+series (:class:`dq.series.ComplexSeries`), used through ``+ - * /``.  Every
+zero or sign decision comes from :func:`dq.series.decide_zero` and
+:func:`dq.series.decide_sign`, which answer exactly or raise
+IndeterminateAtTruncation.
 
 One fraction-free (Bareiss) elimination step does all the elimination:
 ``determinant``, ``kernel`` and ``congruence_diagonalize`` differ only in
@@ -29,64 +31,30 @@ from fractions import Fraction
 from .errors import (
     DimensionTooSmall,
     HermitianViolation,
-    IndeterminateAtTruncation,
     InexactDivision,
     InternalConsistencyError,
     PreconditionViolated,
 )
 from .series import (
     C_ONE,
+    C_ZERO,
     ComplexSeries,
-    INF,
     ONE,
     Series,
     Sign,
     ZERO,
-    cagree_mod_trunc,
+    as_complex,
+    decide_sign,
+    decide_zero,
     exact_div,
 )
-
-
-class Zeroness(Enum):
-    ZERO = "zero"
-    NONZERO = "nonzero"
-    UNDECIDED = "undecided"
-
-
-def zeroness(x) -> Zeroness:
-    if isinstance(x, Series):
-        if x.terms:
-            return Zeroness.NONZERO
-        return Zeroness.ZERO if x.trunc == INF else Zeroness.UNDECIDED
-    if isinstance(x, ComplexSeries):
-        zr, zi = zeroness(x.re), zeroness(x.im)
-        if Zeroness.NONZERO in (zr, zi):
-            return Zeroness.NONZERO
-        if zr is Zeroness.ZERO and zi is Zeroness.ZERO:
-            return Zeroness.ZERO
-        return Zeroness.UNDECIDED
-    if isinstance(x, (int, Fraction)):
-        return Zeroness.ZERO if x == 0 else Zeroness.NONZERO
-    raise TypeError(f"unsupported scalar {type(x).__name__}")
-
-
-def sign_of(x) -> Sign:
-    if isinstance(x, Series):
-        return x.sign()
-    if isinstance(x, (int, Fraction)):
-        if x == 0:
-            return Sign.ZERO
-        return Sign.POSITIVE if x > 0 else Sign.NEGATIVE
-    raise TypeError(f"no order on {type(x).__name__}")
 
 
 def _units_like(sample):
     if isinstance(sample, Series):
         return ZERO, ONE
     if isinstance(sample, ComplexSeries):
-        return ComplexSeries(), C_ONE
-    if isinstance(sample, (int, Fraction)):
-        return Fraction(0), Fraction(1)
+        return C_ZERO, C_ONE
     raise TypeError(f"unsupported scalar {type(sample).__name__}")
 
 
@@ -110,25 +78,16 @@ def _bareiss_step(rows, k, start, pivot, leads, prev) -> None:
     """
     row_k = rows[k]
     width = range(start, len(row_k))
-    divide = zeroness(prev - 1) is not Zeroness.ZERO  # no division by 1
+    divide = not (prev - 1).is_zero  # no division by an exact 1
     for row, lead in zip(rows[k + 1 :], leads):
         for c in width:
             x = pivot * row[c] - lead * row_k[c]
             row[c] = x / prev if divide else x
 
 
-def _first_nonzero(entries, what: str):
-    """Index of the first exactly nonzero entry; None when every entry is
-    exactly zero; raises when none is nonzero and one is undecided."""
-    undecided = False
-    for i, x in enumerate(entries):
-        z = zeroness(x)
-        if z is Zeroness.NONZERO:
-            return i
-        undecided = undecided or z is Zeroness.UNDECIDED
-    if undecided:
-        raise IndeterminateAtTruncation(f"{what} is zero modulo the stored truncation")
-    return None
+def _first_nonzero(entries):
+    """Index of the first nonzero entry, None when every entry is zero."""
+    return next((i for i, x in enumerate(entries) if not decide_zero(x)), None)
 
 
 def determinant(matrix):
@@ -143,7 +102,7 @@ def determinant(matrix):
     prev = one
     flip = False
     for k in range(n - 1):
-        piv = _first_nonzero([a[r][k] for r in range(k, n)], f"pivot column {k}")
+        piv = _first_nonzero(a[r][k] for r in range(k, n))
         if piv is None:
             return zero
         if piv:
@@ -173,7 +132,7 @@ def kernel(matrix):
     prev = one
     for c in range(ncols):
         r = len(pivots)
-        piv = _first_nonzero([row[c] for row in rows[r:]], f"rank undecidable: column {c}")
+        piv = _first_nonzero(row[c] for row in rows[r:])
         if piv is None:
             continue
         rows[r], rows[r + piv] = rows[r + piv], rows[r]
@@ -197,19 +156,17 @@ def kernel(matrix):
 
 def _lead_one(vec) -> tuple:
     """vec scaled to leading entry 1 if that division is exact, else vec."""
-    lead = next(x for x in vec if zeroness(x) is Zeroness.NONZERO)
+    lead = next(x for x in vec if not decide_zero(x))
     try:
         if isinstance(lead, Series):
             return tuple(exact_div(x, lead) for x in vec)
-        if isinstance(lead, ComplexSeries):
-            den = lead.abs2()
-            return tuple(
-                ComplexSeries(exact_div(y.re, den), exact_div(y.im, den))
-                for y in (x * lead.conj() for x in vec)
-            )
+        den = lead.abs2()
+        return tuple(
+            ComplexSeries(exact_div(y.re, den), exact_div(y.im, den))
+            for y in (x * lead.conj() for x in vec)
+        )
     except InexactDivision:
         return tuple(vec)
-    return tuple(x / lead for x in vec)
 
 
 def congruence_diagonalize(matrix):
@@ -237,13 +194,13 @@ def congruence_diagonalize(matrix):
     prev = one
     diag = [zero] * n
     for k in range(n):
-        if zeroness(a[k][k]) is not Zeroness.NONZERO:
-            found = _first_nonzero([a[l][l] for l in range(k, n)], f"diagonal from entry {k}")
+        if decide_zero(a[k][k]):
+            found = _first_nonzero(a[l][l] for l in range(k, n))
             if found is not None:
                 swap(k, k + found)
             else:
                 pairs = [(l, m) for l in range(k, n) for m in range(l + 1, n)]
-                found = _first_nonzero([a[l][m] for l, m in pairs], f"block from entry {k}")
+                found = _first_nonzero(a[l][m] for l, m in pairs)
                 if found is None:
                     break  # remaining block is exactly zero
                 l, m = pairs[found]
@@ -278,27 +235,17 @@ class HermitianForm:
 
 
 def hermitian_form(rows) -> HermitianForm:
-    entries = tuple(tuple(_as_centry(x) for x in row) for row in rows)
+    entries = tuple(tuple(as_complex(x) for x in row) for row in rows)
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise HermitianViolation("matrix must be square")
     for j in range(n):
-        if entries[j][j].im.terms:
+        if not decide_zero(entries[j][j].im):
             raise HermitianViolation(f"diagonal entry {j} has an imaginary part")
         for k in range(j + 1, n):
-            if not cagree_mod_trunc(entries[j][k], entries[k][j].conj()):
+            if not decide_zero(entries[j][k] - entries[k][j].conj()):
                 raise HermitianViolation(f"entries ({j},{k}) and ({k},{j}) not conjugate")
     return HermitianForm(entries)
-
-
-def _as_centry(x) -> ComplexSeries:
-    if isinstance(x, ComplexSeries):
-        return x
-    if isinstance(x, Series):
-        return ComplexSeries(x, ZERO)
-    if isinstance(x, (int, Fraction)):
-        return ComplexSeries(ZERO if x == 0 else Series(((Fraction(0), Fraction(x)),)), ZERO)
-    raise TypeError(f"bad hermitian entry {type(x).__name__}")
 
 
 def split(form: HermitianForm):
@@ -310,7 +257,7 @@ def split(form: HermitianForm):
 
 def gram_form(rows) -> HermitianForm:
     """G^H G for any rectangular complex matrix G: non-negative by construction."""
-    g = [ [_as_centry(x) for x in row] for row in rows ]
+    g = [[as_complex(x) for x in row] for row in rows]
     m, n = len(g), len(g[0])
     ent = []
     for j in range(n):
@@ -328,9 +275,9 @@ def hermitian_quadratic(form: HermitianForm, v) -> ComplexSeries:
     """The value of the form on v: sum_jk conj(v_j) phi_jk v_k."""
     out = ComplexSeries()
     for j in range(form.n):
-        cj = _as_centry(v[j]).conj()
+        cj = as_complex(v[j]).conj()
         for k in range(form.n):
-            out = out + cj * form.entries[j][k] * _as_centry(v[k])
+            out = out + cj * form.entries[j][k] * as_complex(v[k])
     return out
 
 
@@ -349,17 +296,13 @@ def is_nonneg_definite(form: HermitianForm):
     d, diag = congruence_diagonalize(form.entries)
     seen_zero = False
     for j, entry in enumerate(diag):
-        if entry.im.terms:
+        if not decide_zero(entry.im):
             raise InternalConsistencyError("hermitian congruence gave a non-real diagonal")
-        s = entry.re.sign()
-        if s is Sign.INDETERMINATE:
-            raise IndeterminateAtTruncation(
-                f"inertia undecidable: diagonal entry {j} has no determinate sign"
-            )
+        s = decide_sign(entry.re)
         if s is Sign.NEGATIVE:
             witness = tuple(row[j] for row in d)
             value = hermitian_quadratic(form, witness)
-            if value.im.terms or value.re.sign() is not Sign.NEGATIVE:
+            if not decide_zero(value.im) or decide_sign(value.re) is not Sign.NEGATIVE:
                 raise InternalConsistencyError(
                     "indefiniteness witness fails direct evaluation"
                 )
@@ -379,30 +322,27 @@ class Relation(Enum):
     STRICTLY_GREATER = "strictly_greater"
     EQUAL = "equal"
     VIOLATED = "violated"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
 class InequalityReport:
     """Exact comparison of a dominant side against a dominated side."""
 
-    lhs: object
-    rhs: object
+    lhs: Series
+    rhs: Series
     relation: Relation
-    witness: tuple | None = None
     note: str = ""
 
 
-def relation_of(lhs, rhs) -> Relation:
-    diff = lhs - rhs
-    s = sign_of(diff)
-    if s is Sign.POSITIVE:
-        return Relation.STRICTLY_GREATER
-    if s is Sign.ZERO:
-        return Relation.EQUAL
-    if s is Sign.NEGATIVE:
-        return Relation.VIOLATED
-    return Relation.INDETERMINATE
+_RELATION = {
+    Sign.POSITIVE: Relation.STRICTLY_GREATER,
+    Sign.ZERO: Relation.EQUAL,
+    Sign.NEGATIVE: Relation.VIOLATED,
+}
+
+
+def relation_of(lhs: Series, rhs: Series) -> Relation:
+    return _RELATION[decide_sign(lhs - rhs)]
 
 
 def _require_nonneg(definiteness: Definiteness) -> None:
@@ -424,7 +364,7 @@ def check_robertson(form: HermitianForm, definiteness: Definiteness) -> Inequali
     if rel is Relation.EQUAL and definiteness is Definiteness.POSITIVE_DEFINITE:
         rel = Relation.VIOLATED
         note = "positive definite form requires a strict inequality"
-    if sign_of(det_a) is Sign.ZERO and sign_of(det_b) is not Sign.ZERO:
+    if decide_zero(det_a) and not decide_zero(det_b):
         rel = Relation.VIOLATED
         note = "det(a) = 0 must force det(b) = 0"
     return InequalityReport(lhs=det_a, rhs=det_b, relation=rel, note=note)
@@ -432,30 +372,9 @@ def check_robertson(form: HermitianForm, definiteness: Definiteness) -> Inequali
 
 def _real_det(form: HermitianForm) -> Series:
     det = determinant(form.entries)
-    if det.im.terms:
+    if not decide_zero(det.im):
         raise InternalConsistencyError("hermitian determinant has imaginary part")
     return det.re
-
-
-def _is_zero_matrix(matrix) -> bool:
-    states = {zeroness(x) for row in matrix for x in row}
-    if Zeroness.NONZERO in states:
-        return False
-    if Zeroness.UNDECIDED in states:
-        raise IndeterminateAtTruncation("matrix zero-test undecidable at truncation")
-    return True
-
-
-def _is_diagonal(matrix) -> bool:
-    n = len(matrix)
-    states = {
-        zeroness(matrix[j][k]) for j in range(n) for k in range(n) if j != k
-    }
-    if Zeroness.NONZERO in states:
-        return False
-    if Zeroness.UNDECIDED in states:
-        raise IndeterminateAtTruncation("diagonality undecidable at truncation")
-    return True
 
 
 def check_form_determinant_bound(
@@ -468,9 +387,9 @@ def check_form_determinant_bound(
     det_a = determinant(a)
     det_phi = _real_det(form)
     rel = relation_of(det_a, det_phi)
-    expected_equal = sign_of(det_a) is Sign.ZERO or _is_zero_matrix(b)
+    expected_equal = decide_zero(det_a) or all(decide_zero(x) for row in b for x in row)
     note = ""
-    if rel is not Relation.INDETERMINATE and (rel is Relation.EQUAL) != expected_equal:
+    if (rel is Relation.EQUAL) != expected_equal:
         rel = Relation.VIOLATED
         note = "equality diagnosis failed (expects det(a)=0 or skew part zero)"
     return InequalityReport(lhs=det_a, rhs=det_phi, relation=rel, note=note)
@@ -503,14 +422,15 @@ def check_hadamard_chain(form: HermitianForm, definiteness: Definiteness) -> Had
     r2 = InequalityReport(det_a, det_phi, relation_of(det_a, det_phi))
     r3 = InequalityReport(det_a, det_b, relation_of(det_a, det_b))
 
-    some_diag_zero = any(sign_of(a[k][k]) is Sign.ZERO for k in range(n))
+    some_diag_zero = any(decide_zero(a[k][k]) for k in range(n))
+    b_zero = all(decide_zero(x) for row in b for x in row)
+    a_diagonal = all(decide_zero(a[j][k]) for j in range(n) for k in range(n) if j != k)
     full_equality = r1.relation is Relation.EQUAL and r2.relation is Relation.EQUAL
-    diagonal_case = some_diag_zero or (_is_zero_matrix(b) and _is_diagonal(a))
-    diag_ok = full_equality == diagonal_case
+    diag_ok = full_equality == (some_diag_zero or (b_zero and a_diagonal))
 
     skew_equality = relation_of(product, det_b) is Relation.EQUAL
     skew_case = some_diag_zero or (
-        _is_diagonal(a) and relation_of(det_b, det_a) is Relation.EQUAL
+        a_diagonal and relation_of(det_b, det_a) is Relation.EQUAL
     )
     skew_ok = skew_equality == skew_case
     return HadamardReport(r1, r2, r3, diag_ok, skew_ok)
@@ -523,23 +443,14 @@ def trace_bounds(diagonal, b) -> tuple[InequalityReport, InequalityReport | None
     n = len(diagonal)
     if n < 2:
         raise DimensionTooSmall("trace bounds need n >= 2")
-    zero, _one = _units_like(diagonal[0])
-    trace = zero
-    for x in diagonal:
-        trace = trace + x
-    total = zero
-    for j in range(n):
-        for k in range(j + 1, n):
-            total = total + abs(b[j][k])
+    trace = sum(diagonal, ZERO)
+    total = sum((abs(b[j][k]) for j in range(n) for k in range(j + 1, n)), ZERO)
     general_rhs = Fraction(2, n - 1) * total
     general = InequalityReport(trace, general_rhs, relation_of(trace, general_rhs))
     pairing = None
     if n % 2 == 0:
         m = n // 2
-        paired = zero
-        for j in range(m):
-            paired = paired + abs(b[j][m + j])
-        rhs = 2 * paired
+        rhs = 2 * sum((abs(b[j][m + j]) for j in range(m)), ZERO)
         pairing = InequalityReport(trace, rhs, relation_of(trace, rhs))
     return general, pairing
 

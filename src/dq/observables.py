@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DimensionMismatch, NotReal
-from .series import ComplexSeries, Series, ZERO, _ccoerce, series
+from .series import ComplexSeries, ZERO, _ccoerce, as_complex, decide_zero, series
 
 #: q-exponents for dof 1..d, then p-exponents for dof 1..d
 Monomial = tuple[int, ...]
@@ -44,8 +44,8 @@ class Observable:
 
     @property
     def is_real(self) -> bool:
-        """No stored imaginary part (reality modulo any finite truncation)."""
-        return all(not c.im.terms for c in self.terms.values())
+        """Every coefficient has a zero imaginary part."""
+        return all(decide_zero(c.im) for c in self.terms.values())
 
     def coefficient(self, mono: Monomial) -> ComplexSeries:
         return self.terms.get(tuple(mono), ComplexSeries())
@@ -81,7 +81,7 @@ class Observable:
         return Observable(self.d, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        out = self + (-other if isinstance(other, Observable) else -_as_complex(other))
+        out = self + (-other if isinstance(other, Observable) else -as_complex(other))
         return out
 
     def __rsub__(self, other):
@@ -201,13 +201,6 @@ def _check_same_d(f: Observable, g: Observable):
         raise DimensionMismatch(f"observables live on d={f.d} and d={g.d}")
 
 
-def _as_complex(value) -> ComplexSeries:
-    out = _ccoerce(value)
-    if out is NotImplemented:
-        raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-    return out
-
-
 def _make(d: int, acc: dict[Monomial, ComplexSeries]) -> Observable:
     return Observable(d, {m: c for m, c in acc.items() if not c.is_zero})
 
@@ -219,14 +212,14 @@ def observable(d: int, terms: dict) -> Observable:
         m = tuple(m)
         if len(m) != 2 * d or any(e < 0 for e in m):
             raise ValueError(f"bad monomial {m} for d={d}")
-        c = _as_complex(c)
+        c = as_complex(c)
         cur = acc.get(m)
         acc[m] = c if cur is None else cur + c
     return _make(d, acc)
 
 
 def constant(d: int, value) -> Observable:
-    c = _as_complex(value)
+    c = as_complex(value)
     if c.is_zero:
         return Observable(d, {})
     return Observable(d, {(0,) * (2 * d): c})

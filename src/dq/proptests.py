@@ -22,9 +22,6 @@ from .linalg import (
     check_trace_bounds,
     determinant,
     gram_form,
-    sign_of,
-    zeroness,
-    Zeroness,
 )
 from .observables import (
     Observable,
@@ -45,6 +42,7 @@ from .series import (
     ZERO,
     agree_mod_trunc,
     compare,
+    decide_zero,
     h,
     metric,
     rational,
@@ -141,15 +139,9 @@ def rand_gram(rng: random.Random, n: int, scalar: str, singular: bool = False):
 def classify_gram(form) -> Definiteness:
     """Gram forms are non-negative by construction; they are positive
     definite exactly when det(phi) is nonzero."""
-    det = determinant(form.entries)
-    z = zeroness(det)
-    if z is Zeroness.UNDECIDED:
-        raise AssertionError("gram determinant should be exact")
-    return (
-        Definiteness.POSITIVE_DEFINITE
-        if z is Zeroness.NONZERO
-        else Definiteness.NONNEG_DEFINITE
-    )
+    if decide_zero(determinant(form.entries)):
+        return Definiteness.NONNEG_DEFINITE
+    return Definiteness.POSITIVE_DEFINITE
 
 
 def rand_real_observable(
@@ -300,18 +292,18 @@ def run_robertson(trials: int, seed: int, dims=None) -> SuiteReport:
         ctx = f"trial={t} n={n} scalar={scalar}{' singular' if singular else ''}"
         cls = classify_gram(form)
         r = check_robertson(form, cls)
-        if r.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+        if r.relation is Relation.VIOLATED:
             rep.failures.append(f"{ctx} det(a)={r.lhs} det(b)={r.rhs}: {r.relation.value}")
             continue
         if cls is Definiteness.POSITIVE_DEFINITE and r.relation is not Relation.STRICTLY_GREATER:
             rep.failures.append(f"{ctx} positive definite but not strict")
-        if n % 2 == 1 and sign_of(r.rhs) is not Sign.ZERO:
+        if n % 2 == 1 and not decide_zero(r.rhs):
             rep.failures.append(f"{ctx} odd n needs det(b)=0, got {r.rhs}")
         if singular:
             # a real kernel direction of G kills both determinants exactly
-            if sign_of(r.lhs) is not Sign.ZERO:
+            if not decide_zero(r.lhs):
                 rep.failures.append(f"{ctx} crafted singular but det(a)={r.lhs}")
-            elif sign_of(r.rhs) is not Sign.ZERO:
+            elif not decide_zero(r.rhs):
                 rep.failures.append(f"{ctx} det(a)=0 but det(b)={r.rhs}")
     return rep
 
@@ -357,7 +349,7 @@ def run_hadamard(trials: int, seed: int, dims=None) -> SuiteReport:
             ctx = f"trial={t} n={n} scalar={scalar}"
         cls = classify_gram(form)
         lemma = check_form_determinant_bound(form, cls)
-        if lemma.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+        if lemma.relation is Relation.VIOLATED:
             rep.failures.append(f"{ctx} det(a) vs det(phi): {lemma.relation.value} {lemma.note}")
         chain = check_hadamard_chain(form, cls)
         for label, link in (
@@ -365,14 +357,14 @@ def run_hadamard(trials: int, seed: int, dims=None) -> SuiteReport:
             ("det(a) vs det(phi)", chain.cov_vs_form),
             ("det(a) vs det(b)", chain.cov_vs_skew),
         ):
-            if link.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+            if link.relation is Relation.VIOLATED:
                 rep.failures.append(f"{ctx} {label}: {link.relation.value}")
         if not chain.diagonal_equality_ok:
             rep.failures.append(f"{ctx} diagonal equality diagnosis failed")
         if not chain.skew_equality_ok:
             rep.failures.append(f"{ctx} skew equality diagnosis failed")
         if n == 2:
-            det_phi_zero = zeroness(determinant(form.entries)) is Zeroness.ZERO
+            det_phi_zero = decide_zero(determinant(form.entries))
             skew_equal = chain.cov_vs_skew.relation is Relation.EQUAL
             if det_phi_zero != skew_equal:
                 rep.failures.append(f"{ctx} n=2 biconditional failed")
@@ -389,12 +381,9 @@ def run_trace(trials: int, seed: int, dims=None) -> SuiteReport:
         form = rand_gram(rng, n, scalar, singular=t % 7 == 6)
         ctx = f"trial={t} n={n} scalar={scalar}"
         general, pairing = check_trace_bounds(form, classify_gram(form))
-        if general.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+        if general.relation is Relation.VIOLATED:
             rep.failures.append(f"{ctx} general bound: {general.relation.value}")
-        if pairing is not None and pairing.relation in (
-            Relation.VIOLATED,
-            Relation.INDETERMINATE,
-        ):
+        if pairing is not None and pairing.relation is Relation.VIOLATED:
             rep.failures.append(f"{ctx} pairing bound: {pairing.relation.value}")
     return rep
 
@@ -464,7 +453,7 @@ def run_states(trials: int, seed: int) -> SuiteReport:
         if state.expectation(f).conj() != state.expectation(f.conj()):
             rep.failures.append(f"{ctx} reality law fails")
         cs = cauchy_schwarz_check(state, f, g)
-        if cs.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+        if cs.relation is Relation.VIOLATED:
             rep.failures.append(f"{ctx} cauchy-schwarz {cs.relation.value}")
         if gelfand_norm(state, f).sign() not in (Sign.POSITIVE, Sign.ZERO):
             rep.failures.append(f"{ctx} positivity fails")
@@ -536,7 +525,7 @@ def run_uncertainty(trials: int, seed: int) -> SuiteReport:
             rep.failures.append(f"{ctx} internal cross-check failed: {exc}")
             continue
         for name, r in checks.reports:
-            if r.relation in (Relation.VIOLATED, Relation.INDETERMINATE):
+            if r.relation is Relation.VIOLATED:
                 rep.failures.append(f"{ctx} {name} {r.relation.value}")
         if checks.hr_intelligent and not checks.rs_intelligent:
             rep.failures.append(f"{ctx} HR saturation without RS saturation")

@@ -15,6 +15,11 @@ every positive integer ``n``).
 
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
+
+This module is the one owner of truncation: :func:`decide_zero` and
+:func:`decide_sign` give an exact answer or raise
+:class:`~dq.errors.IndeterminateAtTruncation`, and every zero or sign
+decision of the package goes through them.
 """
 
 from __future__ import annotations
@@ -204,20 +209,17 @@ class Series:
 
     # -- order, comparisons ------------------------------------------------
 
-    def _cmp_sign(self, other) -> Sign:
-        return (self - _coerce(other)).sign()
-
     def __lt__(self, other):
-        return _decided(self._cmp_sign(other)) is Sign.NEGATIVE
+        return decide_sign(self - other) is Sign.NEGATIVE
 
     def __gt__(self, other):
-        return _decided(self._cmp_sign(other)) is Sign.POSITIVE
+        return decide_sign(self - other) is Sign.POSITIVE
 
     def __le__(self, other):
-        return _decided(self._cmp_sign(other)) is not Sign.POSITIVE
+        return decide_sign(self - other) is not Sign.POSITIVE
 
     def __ge__(self, other):
-        return _decided(self._cmp_sign(other)) is not Sign.NEGATIVE
+        return decide_sign(self - other) is not Sign.NEGATIVE
 
     def __abs__(self) -> "Series":
         # an empty-support element equals its own negation, so this is
@@ -370,12 +372,6 @@ def _required_order(order: Rational | None, what: str) -> Fraction:
     return Fraction(order)
 
 
-def _decided(s: Sign) -> Sign:
-    if s is Sign.INDETERMINATE:
-        raise IndeterminateAtTruncation("comparison undecidable at this truncation")
-    return s
-
-
 def _coerce(value):
     if isinstance(value, Series):
         return value
@@ -384,6 +380,14 @@ def _coerce(value):
             return ZERO
         return Series(((Fraction(0), Fraction(value)),))
     return NotImplemented
+
+
+def as_series(value) -> Series:
+    """A Series, or an int or Fraction as a constant series."""
+    out = _coerce(value)
+    if out is NotImplemented:
+        raise TypeError(f"expected a series, got {type(value).__name__}")
+    return out
 
 
 def _product_trunc(a: Series, b: Series) -> Order:
@@ -422,6 +426,32 @@ def h(exponent: Rational = 1, coefficient: Rational = 1) -> Series:
 ZERO = Series()
 ONE = Series(((Fraction(0), Fraction(1)),))
 HBAR = Series(((Fraction(1), Fraction(1)),))
+
+
+def decide_sign(x: Series) -> Sign:
+    """POSITIVE, ZERO or NEGATIVE; raises IndeterminateAtTruncation when x
+    is zero modulo its stored truncation, which leaves the sign open."""
+    s = x.sign()
+    if s is Sign.INDETERMINATE:
+        raise IndeterminateAtTruncation(f"sign undecidable: zero modulo h^{x.trunc}")
+    return s
+
+
+def decide_zero(x: Series | ComplexSeries) -> bool:
+    """Is x zero?  Raises IndeterminateAtTruncation when x is zero only
+    modulo its stored truncation.
+
+    Every zero or sign decision above this module goes through this
+    function or :func:`decide_sign`.
+    """
+    if isinstance(x, ComplexSeries):
+        if x.re.terms or x.im.terms:
+            return False
+    elif x.terms:
+        return False
+    if x.trunc == INF:
+        return True
+    raise IndeterminateAtTruncation(f"zero test undecidable: zero modulo h^{x.trunc}")
 
 
 def compare(a: Series, b: Series | Rational) -> Sign:
@@ -569,10 +599,14 @@ def _ccoerce(value):
     return NotImplemented
 
 
+def as_complex(value) -> ComplexSeries:
+    """A ComplexSeries, or a Series, int or Fraction as a real one."""
+    out = _ccoerce(value)
+    if out is NotImplemented:
+        raise TypeError(f"expected a complex series, got {type(value).__name__}")
+    return out
+
+
 C_ZERO = ComplexSeries()
 C_ONE = ComplexSeries(ONE, ZERO)
 I_UNIT = ComplexSeries(ZERO, ONE)
-
-
-def cagree_mod_trunc(a: ComplexSeries, b: ComplexSeries) -> bool:
-    return agree_mod_trunc(a.re, b.re) and agree_mod_trunc(a.im, b.im)

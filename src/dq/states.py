@@ -19,6 +19,7 @@ from itertools import product
 from .errors import (
     AdmissibilityWarning,
     DimensionMismatch,
+    DQError,
     InternalConsistencyError,
     MomentDegreeExceeded,
 )
@@ -37,22 +38,24 @@ from .series import (
     Series,
     Sign,
     ZERO,
-    rational,
+    as_series,
+    decide_sign,
+    decide_zero,
     series,
 )
 
-#: Wick pairing enumeration grows double-factorially; default central-moment cap
-DEFAULT_MOMENT_CAP = 12
+#: Wick pairing enumeration grows double-factorially; central moments stop here
+MOMENT_CAP = 12
 
 
 class GaussianState:
     """Mean vector (q1..qd, p1..pd) plus symmetric covariance matrix."""
 
-    __slots__ = ("d", "mean", "cov", "moment_cap", "_central_cache")
+    __slots__ = ("d", "mean", "cov", "_central_cache")
 
-    def __init__(self, mean, cov, moment_cap: int = DEFAULT_MOMENT_CAP):
-        mean = tuple(_as_series(x) for x in mean)
-        cov = tuple(tuple(_as_series(x) for x in row) for row in cov)
+    def __init__(self, mean, cov):
+        mean = tuple(as_series(x) for x in mean)
+        cov = tuple(tuple(as_series(x) for x in row) for row in cov)
         if len(mean) % 2 or not mean:
             raise DimensionMismatch("mean must list q1..qd, p1..pd")
         d = len(mean) // 2
@@ -66,7 +69,6 @@ class GaussianState:
         self.d = d
         self.mean = mean
         self.cov = cov
-        self.moment_cap = moment_cap
         self._central_cache: dict[tuple[int, ...], Series] = {}
         self._check_admissibility()
 
@@ -85,7 +87,7 @@ class GaussianState:
         # classical requirement: the covariance is non-negative definite
         _, diag = congruence_diagonalize(self.cov)
         for entry in diag:
-            if entry.sign() is Sign.NEGATIVE:
+            if decide_sign(entry) is Sign.NEGATIVE:
                 raise ValueError("covariance matrix is not non-negative definite")
         warnings.warn(
             "cov + (i h/2) J is not non-negative definite: functional may fail positivity",
@@ -107,7 +109,7 @@ class GaussianState:
     def expect_real(self, f: Observable, what: str = "expectation") -> Series:
         """Expectation that must be real; returns the real series."""
         value = self.expectation(f)
-        if value.im.terms:
+        if not decide_zero(value.im):
             raise InternalConsistencyError(f"{what} has imaginary part {value.im}")
         return value.re
 
@@ -141,9 +143,9 @@ class GaussianState:
             return ZERO
         if not idxs:
             return ONE
-        if len(idxs) > self.moment_cap:
+        if len(idxs) > MOMENT_CAP:
             raise MomentDegreeExceeded(
-                f"central moment of degree {len(idxs)} exceeds cap {self.moment_cap}"
+                f"central moment of degree {len(idxs)} exceeds cap {MOMENT_CAP}"
             )
         cached = self._central_cache.get(idxs)
         if cached is not None:
@@ -173,14 +175,6 @@ def _binom(n: int, k: int) -> Fraction:
     return out
 
 
-def _as_series(x) -> Series:
-    if isinstance(x, Series):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return rational(x)
-    raise TypeError(f"expected a series entry, got {type(x).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # functional-analytic operations
 
@@ -197,13 +191,8 @@ def gelfand_norm(state: GaussianState, f: Observable) -> Series:
 
 
 def in_gelfand_ideal(state: GaussianState, f: Observable) -> bool:
-    """Exact membership test; indeterminate signs raise."""
-    sign = gelfand_norm(state, f).sign()
-    if sign is Sign.INDETERMINATE:
-        from .errors import IndeterminateAtTruncation
-
-        raise IndeterminateAtTruncation("ideal membership undecidable at truncation")
-    return sign is Sign.ZERO
+    """Exact membership test: does f annihilate the state?"""
+    return decide_zero(gelfand_norm(state, f))
 
 
 def cauchy_schwarz_check(
@@ -250,15 +239,29 @@ def squeezed(s, d: int = 1) -> GaussianState:
 
 def correlated(c) -> GaussianState:
     """d=1 state with cov [[h/2, c], [c, h/2]]; c != 0 trips the threshold warning."""
-    c = _as_series(c)
+    c = as_series(c)
     half = _hbar_over(2)
     return GaussianState([ZERO, ZERO], [[half, c], [c, half]])
 
 
-def state_from_dict(obj: dict) -> GaussianState:
+def _strings(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
+def state_from_dict(obj) -> GaussianState:
+    """A state from its JSON form ``{"d": int, "mean": [str], "cov": [[str]]}``,
+    every entry a series literal."""
     from .parsing import parse_series
 
-    d = int(obj["d"])
+    if not (
+        isinstance(obj, dict)
+        and type(obj.get("d")) is int
+        and _strings(obj.get("mean"))
+        and isinstance(obj.get("cov"), list)
+        and all(_strings(row) for row in obj["cov"])
+    ):
+        raise DQError('a state file holds {"d": int, "mean": [str, ...], "cov": [[str, ...], ...]}')
+    d = obj["d"]
     mean = [parse_series(s) for s in obj["mean"]]
     cov = [[parse_series(s) for s in row] for row in obj["cov"]]
     if len(mean) != 2 * d:

@@ -11,9 +11,11 @@ a symmetric covariance part ``a`` and a skew part ``b`` with
 * ``sum of variances >= h/(n-1) * sum |rho({X_j,X_k}_star)|``  (trace relation)
 
 A state saturating the second equality is HR-intelligent, one saturating
-the first RS-intelligent; saturation is decided by exact series comparison.
-The states the package builds have exact moments, so a decision can be
-INDETERMINATE only for a state built from truncated series.  Saturation
+the first RS-intelligent.  Saturation, like every zero or sign decision
+here, is decided exactly by :func:`dq.series.decide_zero` and
+:func:`dq.series.decide_sign`; the states the package builds have exact
+moments, and on a state built from truncated series a decision the
+truncation leaves open raises IndeterminateAtTruncation.  Saturation
 witnesses are produced through membership of deviation combinations in the
 state's annihilating (Gel'fand) ideal.  :func:`check_relations` runs all of
 this from one moment computation.
@@ -24,29 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DimensionTooSmall,
-    IndeterminateAtTruncation,
-    InternalConsistencyError,
-    SingularTransform,
-)
+from .errors import DimensionTooSmall, InternalConsistencyError, SingularTransform
 from .linalg import (
     Definiteness,
     HermitianForm,
     InequalityReport,
     Relation,
-    Zeroness,
-    _as_centry,
     determinant,
     hermitian_form,
     is_nonneg_definite,
     kernel,
     relation_of,
     trace_bounds,
-    zeroness,
 )
 from .observables import Observable, moyal_bracket, require_real, star
-from .series import I_UNIT, ONE, Series, Sign, series
+from .series import I_UNIT, ONE, Series, as_complex, decide_zero, series
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
@@ -169,13 +163,10 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
         lhs = mm.variances[0] * mm.variances[1]
         rhs = mm.a[0][1] * mm.a[0][1] + mm.b[0][1] * mm.b[0][1]
         det_phi = determinant(mm.phi.entries)
-        if det_phi.im.terms or det_phi.re != lhs - rhs:
+        if not decide_zero(det_phi.im) or det_phi.re != lhs - rhs:
             raise InternalConsistencyError("two-observable gap must equal det(phi)")
         reports.append(("TwoObs", InequalityReport(lhs, rhs, relation_of(lhs, rhs))))
-        s = det_phi.re.sign()
-        if s is Sign.INDETERMINATE:
-            raise IndeterminateAtTruncation("saturation undecidable at truncation")
-        if s is Sign.ZERO:
+        if decide_zero(det_phi.re):
             basis = kernel(mm.phi.entries)
             if not basis:
                 raise InternalConsistencyError("singular phi must have a kernel vector")
@@ -218,37 +209,28 @@ def check_annihilating_transform(
     if n == 0 or n % 2:
         raise DimensionTooSmall("need an even number of observables")
     m = n // 2
-    u = [[_as_centry(x) for x in row] for row in u]
-    v = [[_as_centry(x) for x in row] for row in v]
+    u = [[as_complex(x) for x in row] for row in u]
+    v = [[as_complex(x) for x in row] for row in v]
     if len(u) != m or len(v) != m or any(len(r) != m for r in u + v):
         raise ValueError(f"u and v must be {m}x{m}")
     block = [u[i] + v[i] for i in range(m)] + [
         [x.conj() for x in v[i]] + [x.conj() for x in u[i]] for i in range(m)
     ]
-    z = zeroness(determinant(block))
-    if z is Zeroness.ZERO:
+    if decide_zero(determinant(block)):
         raise SingularTransform("the (u, v) block matrix is singular")
-    if z is Zeroness.UNDECIDED:
-        raise IndeterminateAtTruncation("block determinant zero modulo truncation")
     mm = mm if mm is not None else moment_matrices(state, xs)
     devs = mm.devs
     ladders = [
         (devs[alpha] + devs[alpha + m] * I_UNIT) * Fraction(1, 2) for alpha in range(m)
     ]
     norms = []
-    all_zero = True
     for alpha in range(m):
         prime = None
         for beta in range(m):
             part = ladders[beta] * u[alpha][beta] + ladders[beta].conj() * v[alpha][beta]
             prime = part if prime is None else prime + part
-        norm = gelfand_norm(state, prime)
-        norms.append(norm)
-        s = norm.sign()
-        if s is Sign.INDETERMINATE:
-            raise IndeterminateAtTruncation("annihilation test undecidable")
-        if s is not Sign.ZERO:
-            all_zero = False
+        norms.append(gelfand_norm(state, prime))
+    all_zero = all(decide_zero(norm) for norm in norms)
     rs = _rs_report(mm)
     if all_zero and rs.relation is not Relation.EQUAL:
         _expect_nonneg_failure(

@@ -139,6 +139,42 @@ def test_unary_minus_observable(workdir):
     assert out.startswith("RS: saturated")
 
 
+def _main_err(argv):
+    """(exit code, stderr) of one in-process call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"mean": ["0", "0"], "cov": [["1/2*h", "0"], ["0", "1/2*h"]]},
+        [1, ["0", "0"]],
+        {"d": 1, "mean": [0, 0], "cov": [["1/2*h", "0"], ["0", "1/2*h"]]},
+    ],
+    ids=["no d", "top-level list", "numeric mean"],
+)
+def test_malformed_state_file_is_a_usage_error(workdir, body):
+    with open("bad.json", "w", encoding="utf-8") as fh:
+        json.dump(body, fh)
+    code, err = _main_err(["check", "--state", "bad.json", "--obs=q1", "--obs=p1"])
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("dims", [("--dims", "0"), ("--dims", "-1"), ("--dims=2,0",)], ids=" ".join)
+def test_proptest_dimension_below_one_is_a_usage_error(dims):
+    assert _main_err(["proptest", "robertson", "--trials", "2", *dims])[0] == cli.EXIT_USAGE
+
+
+def test_moment_above_the_cap_is_an_error(workdir):
+    code, err = _main_err(["check", "--state", "ground", "--obs=q1^7", "--obs=p1"])
+    assert code == cli.EXIT_USAGE
+    assert "central moment of degree 14 exceeds cap 12" in err
+
+
 def _record() -> None:
     import tempfile
 

@@ -29,6 +29,7 @@ from dq.linalg import (
     hermitian_quadratic,
     is_nonneg_definite,
     kernel,
+    relation_of,
     split,
 )
 from dq.proptests import classify_gram, rand_gram
@@ -46,6 +47,7 @@ from dq.series import (
 )
 
 I1 = I_UNIT
+BLUR = series({}, trunc=4)
 
 
 def cofactor_det(m):
@@ -82,18 +84,25 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def rationals(rows):
+    """A matrix of constant series from rational entries."""
+    return [[rational(x) for x in row] for row in rows]
+
+
 class TestDeterminant:
     def test_identity(self):
         m = [[rational(1) if i == j else ZERO for j in range(4)] for i in range(4)]
         assert determinant(m) == ONE
 
     def test_skew_2x2(self):
-        assert determinant([[F(0), F(1)], [F(-1), F(0)]]) == 1
+        assert determinant(rationals([[0, 1], [-1, 0]])) == ONE
 
     def test_matches_cofactor_oracle(self):
         rng = random.Random(11)
         for _ in range(25):
-            m = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+            m = rationals(
+                [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+            )
             assert determinant(m) == cofactor_det(m)
 
     def test_series_matches_cofactor_oracle(self):
@@ -111,8 +120,8 @@ class TestDeterminant:
     def test_multiplicative(self):
         rng = random.Random(13)
         for _ in range(10):
-            a = [[F(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-            b = [[F(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
+            a = rationals([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+            b = rationals([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
             assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
 
     def test_exact_singular_gives_exact_zero(self):
@@ -120,45 +129,57 @@ class TestDeterminant:
         det = determinant(m)
         assert det.is_zero
 
-    def test_indeterminate_pivot_raises(self):
-        blur = series({}, trunc=4)
+    # each is given an entry that is zero modulo h^4, so neither zero nor
+    # nonzero is decidable
+    @pytest.mark.parametrize(
+        "decide",
+        [
+            lambda: determinant([[BLUR, ONE], [BLUR, ONE + HBAR]]),
+            lambda: kernel([[BLUR, ONE], [BLUR, ONE + HBAR]]),
+            lambda: congruence_diagonalize([[BLUR, ONE], [ONE, ONE]]),
+            lambda: hermitian_form([[ONE, BLUR], [ZERO, ONE]]),
+            lambda: relation_of(ONE + BLUR, ONE),
+        ],
+        ids=["determinant", "kernel", "congruence_diagonalize", "hermitian_form", "relation_of"],
+    )
+    def test_indeterminate_pivot_raises(self, decide):
         with pytest.raises(IndeterminateAtTruncation):
-            determinant([[blur, ONE], [blur, ONE + HBAR]])
+            decide()
 
 
 class TestCongruence:
     def test_textbook_example(self):
-        d, diag = congruence_diagonalize([[F(2), F(1)], [F(1), F(2)]])
-        assert diag == (F(2), F(6))
-        assert d == ((F(1), F(-1)), (F(0), F(2)))
+        d, diag = congruence_diagonalize(rationals([[2, 1], [1, 2]]))
+        assert diag == (rational(2), rational(6))
+        assert d == tuple(map(tuple, rationals([[1, -1], [0, 2]])))
 
     def test_diagonal_input_untouched(self):
-        d, diag = congruence_diagonalize([[F(3), F(0)], [F(0), F(-2)]])
-        assert diag == (F(3), F(-18))
-        assert d == ((F(1), F(0)), (F(0), F(3)))
+        d, diag = congruence_diagonalize(rationals([[3, 0], [0, -2]]))
+        assert diag == (rational(3), rational(-18))
+        assert d == tuple(map(tuple, rationals([[1, 0], [0, 3]])))
 
     def test_hyperbolic_split(self):
-        s = [[F(0), F(1)], [F(1), F(0)]]
+        s = rationals([[0, 1], [1, 0]])
         d, diag = congruence_diagonalize(s)
-        assert diag == (F(2), F(-2))
-        assert d == ((F(1), F(-1)), (F(1), F(1)))
+        assert diag == (rational(2), rational(-2))
+        assert d == tuple(map(tuple, rationals([[1, -1], [1, 1]])))
         dt_s_d = mat_mul(transpose(d), mat_mul(s, [list(r) for r in d]))
-        assert dt_s_d == [[F(2), F(0)], [F(0), F(-2)]]
+        assert dt_s_d == rationals([[2, 0], [0, -2]])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_postcondition_random(self, seed):
         # oracle: explicit multiplication D^T S D reproduces the diagonal
         rng = random.Random(seed)
         n = rng.randint(2, 5)
-        half = [[F(rng.randint(-6, 6)) for _ in range(n)] for _ in range(n)]
-        s = [[half[i][j] + half[j][i] for j in range(n)] for i in range(n)]
+        half = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        s = rationals([[half[i][j] + half[j][i] for j in range(n)] for i in range(n)])
         d, diag = congruence_diagonalize(s)
         got = mat_mul(transpose(d), mat_mul(s, [list(r) for r in d]))
         for i in range(n):
             for j in range(n):
-                assert got[i][j] == (diag[i] if i == j else F(0))
+                assert got[i][j] == (diag[i] if i == j else ZERO)
         # det(S) det(D)^2 equals the product of diagonal entries
-        prod = F(1)
+        prod = ONE
         for x in diag:
             prod *= x
         assert determinant(s) * determinant(d) ** 2 == prod
@@ -339,7 +360,7 @@ class TestTraceBounds:
 
 class TestKernel:
     def test_rank_one(self):
-        assert kernel([[F(1), F(1)], [F(1), F(1)]]) == [(F(1), F(-1))]
+        assert kernel(rationals([[1, 1], [1, 1]])) == [(ONE, -ONE)]
 
     def test_full_rank_empty(self):
         assert kernel([[rational(1), ZERO], [ZERO, rational(1)]]) == []
@@ -351,11 +372,11 @@ class TestKernel:
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(10)
-        g = [[F(rng.randint(-3, 3)) for _ in range(4)] for _ in range(2)]
+        g = rationals([[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)])
         m = mat_mul(transpose(g), g)  # rank <= 2, symmetric
         for vec in kernel(m):
             image = [sum_entries(m[i][j] * vec[j] for j in range(4)) for i in range(4)]
-            assert all(x == 0 for x in image)
+            assert all(x == ZERO for x in image)
 
 
 T = sp.Symbol("t", positive=True)
@@ -365,8 +386,6 @@ def to_sympy(x):
     """An exact dq scalar as a polynomial in t, with h = t^2."""
     if isinstance(x, ComplexSeries):
         return to_sympy(x.re) + sp.I * to_sympy(x.im)
-    if isinstance(x, F):
-        return sp.Rational(x.numerator, x.denominator)
     assert x.trunc == INF, f"inexact {x!r}"
     out = sp.Integer(0)
     for e, c in x.terms:

@@ -25,6 +25,8 @@ from dq.series import (
     ZERO,
     agree_mod_trunc,
     compare,
+    decide_sign,
+    decide_zero,
     exact_div,
     h,
     metric,
@@ -106,6 +108,18 @@ class TestOrder:
         assert h(1, 3) > h(2, 5)
         with pytest.raises(IndeterminateAtTruncation):
             series({}, trunc=3) < ZERO
+
+    def test_decide_zero_and_sign(self):
+        blur = series({}, trunc=4)
+        assert decide_zero(ZERO) and decide_zero(ComplexSeries())
+        assert not decide_zero(series({5: 1}, trunc=6))
+        assert not decide_zero(ComplexSeries(blur, ONE))  # one part decides
+        assert decide_sign(-HBAR) is Sign.NEGATIVE and decide_sign(ZERO) is Sign.ZERO
+        for undecided in (blur, ComplexSeries(ZERO, blur)):
+            with pytest.raises(IndeterminateAtTruncation):
+                decide_zero(undecided)
+        with pytest.raises(IndeterminateAtTruncation):
+            decide_sign(blur)
 
 
 class TestValuationMetric:
