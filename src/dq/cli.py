@@ -93,7 +93,7 @@ def _cmd_field_eval(args) -> int:
 def _cmd_star(args) -> int:
     from .observables import star
 
-    d = args.d or max(infer_dof(args.left), infer_dof(args.right))
+    d = args.d if args.d is not None else max(infer_dof(args.left), infer_dof(args.right))
     f = parse_observable(args.left, d)
     g = parse_observable(args.right, d)
     result = star(f, g)
@@ -189,6 +189,17 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _trials(text: str) -> int:
+    """The --trials value: a trial count of at least 1."""
+    try:
+        trials = int(text)
+    except ValueError:
+        trials = 0
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"expected a trial count >= 1, got {text!r}")
+    return trials
+
+
 def _cmd_proptest(args) -> int:
     report = run_suite(args.suite, args.trials, args.seed, args.dims)
     for line in report.lines():
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prop = sub.add_parser("proptest", help="randomized law suites")
     p_prop.add_argument("suite", choices=SUITES)
-    p_prop.add_argument("--trials", type=int, default=200)
+    p_prop.add_argument("--trials", type=_trials, default=200)
     p_prop.add_argument("--seed", type=int, default=0)
     p_prop.add_argument("--dims", type=_dims, default=None, help="comma-separated dimensions")
     p_prop.set_defaults(func=_cmd_proptest)

@@ -13,6 +13,20 @@ exactly when the coefficient at its least exponent is positive, which
 orders the field but makes the order non-Archimedean (``h < 1/n`` for
 every positive integer ``n``).
 
+A :class:`Series` is stored on an integer grid, the content/primitive-part
+layout of FLINT's ``fmpq_poly``: one positive exponent denominator ``E``,
+strictly increasing integer exponent numerators ``k_j``, nonzero integer
+coefficient numerators ``n_j`` and one positive content denominator ``D``,
+so that the element is ``sum_j (n_j / D) h^(k_j / E)``; the truncation
+order stays a ``Fraction`` (or ``inf``).  The form is canonical:
+``gcd(D, n_1, ...) == 1`` and ``gcd(E, k_1, ...) == 1``, and the zero
+element has ``E = D = 1``.  So equal values have equal fields, and field
+equality and hashing are value equality and hashing.  Operands on
+different grids are rescaled to ``lcm(E1, E2)`` (and, for a sum, to
+``lcm(D1, D2)``).  The layout is private to this module; :attr:`Series.terms`
+gives the ``(exponent, coefficient)`` pairs as ``Fraction`` for printing
+and tests.
+
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
 
@@ -25,10 +39,11 @@ decision of the package goes through them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 from .errors import (
@@ -40,7 +55,7 @@ from .errors import (
 
 INF = math.inf
 
-#: exponents/coefficients are Fractions internally; ints accepted at the API
+#: exponents and coefficients at the API; stored as integers on a grid
 Rational = Union[int, Fraction]
 #: truncation orders are Fractions, with math.inf standing for "exact"
 Order = Union[Fraction, float]
@@ -60,35 +75,63 @@ def _as_order(value) -> Order:
     return Fraction(value)
 
 
-@dataclass(frozen=True, slots=True)
 class Series:
-    """A truncated power series in h, normalized and immutable.
+    """A truncated power series in h, canonical and immutable.
 
-    ``terms`` holds ``(exponent, coefficient)`` pairs sorted by strictly
-    increasing exponent, with no zero coefficients and every exponent below
-    ``trunc``.  Use :func:`series` (or the ``h``/``rational`` helpers) to
-    build values; the raw constructor does not normalize.
+    The fields are the integer grid of the module docstring; every exponent
+    ``k_j / E`` lies below ``trunc``.  The numerator lists are never
+    modified once stored, so values share them.  (Lists rather than tuples:
+    CPython keeps up to 2000 freed tuples of each small length for reuse,
+    and two short tuples per value held megabytes there.)  Use
+    :func:`series` (or the ``h``/``rational`` helpers) to build values; the
+    raw constructor does not normalize.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
-    trunc: Order = INF
+    __slots__ = ("_eden", "_exps", "_nums", "_cden", "trunc")
+
+    def __init__(self, eden: int, exps: list[int], nums: list[int], cden: int, trunc: Order = INF):
+        self._eden = eden
+        self._exps = exps
+        self._nums = nums
+        self._cden = cden
+        self.trunc = trunc
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return (
+            self._exps == other._exps
+            and self._nums == other._nums
+            and self._eden == other._eden
+            and self._cden == other._cden
+            and self.trunc == other.trunc
+        )
+
+    def __hash__(self):
+        return hash((self._eden, tuple(self._exps), tuple(self._nums), self._cden, self.trunc))
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """``(exponent, coefficient)`` pairs by strictly increasing exponent."""
+        e, d = self._eden, self._cden
+        return tuple((Fraction(k, e), Fraction(n, d)) for k, n in zip(self._exps, self._nums))
+
+    @property
     def is_zero(self) -> bool:
         """True only for the exact zero element."""
-        return not self.terms and self.trunc == INF
+        return not self._nums and self.trunc == INF
 
     def sign(self) -> Sign:
-        if self.terms:
-            return Sign.POSITIVE if self.terms[0][1] > 0 else Sign.NEGATIVE
+        if self._nums:
+            return Sign.POSITIVE if self._nums[0] > 0 else Sign.NEGATIVE
         return Sign.ZERO if self.trunc == INF else Sign.INDETERMINATE
 
     def valuation(self) -> Order:
         """Least exponent of the support; ``inf`` for the exact zero."""
-        if self.terms:
-            return self.terms[0][0]
+        if self._nums:
+            return Fraction(self._exps[0], self._eden)
         if self.trunc == INF:
             return INF
         raise IndeterminateAtTruncation(
@@ -97,37 +140,49 @@ class Series:
 
     def _val_or_inf(self) -> Order:
         # internal convention: empty support counts as valuation +inf
-        return self.terms[0][0] if self.terms else INF
+        return Fraction(self._exps[0], self._eden) if self._nums else INF
+
+    def _lead(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self._exps[0], self._eden), Fraction(self._nums[0], self._cden)
 
     def coefficient(self, exponent: Rational) -> Fraction:
         exponent = Fraction(exponent)
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return Fraction(0)
+        k, rest = divmod(exponent.numerator * self._eden, exponent.denominator)
+        i = bisect_left(self._exps, k)
+        if rest or i == len(self._exps) or self._exps[i] != k:
+            return Fraction(0)
+        return Fraction(self._nums[i], self._cden)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Series):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e)
-            if s is None:
-                acc[e] = c
-            elif s == -c:
-                del acc[e]
-            else:
-                acc[e] = s + c
-        return Series(tuple(sorted((e, c) for e, c in acc.items() if e < trunc)), trunc)
+        if not other._nums and trunc == self.trunc:
+            return self
+        if not self._nums and trunc == other.trunc:
+            return other
+        ea, eb, da, db = self._eden, other._eden, self._cden, other._cden
+        e = ea if ea == eb else lcm(ea, eb)
+        d = da if da == db else lcm(da, db)
+        acc = dict(zip(_scaled(self._exps, e // ea), _scaled(self._nums, d // da)))
+        for k, n in zip(_scaled(other._exps, e // eb), _scaled(other._nums, d // db)):
+            s = acc.get(k)
+            acc[k] = n if s is None else s + n
+        if trunc == INF:
+            keys = sorted(k for k, n in acc.items() if n)
+        else:
+            cut = _cut(trunc, e)
+            keys = sorted(k for k, n in acc.items() if n and k < cut)
+        return _canonical(e, keys, [acc[k] for k in keys], d, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series(tuple((e, -c) for e, c in self.terms), self.trunc)
+        return Series(self._eden, self._exps, [-n for n in self._nums], self._cden, self.trunc)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -142,24 +197,62 @@ class Series:
         return other + (-self)
 
     def __mul__(self, other) -> "Series":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Series):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
             return NotImplemented
+        if len(other._nums) == 1 and other.trunc == INF:
+            return self._monomial_mul(other._exps[0], other._eden, other._nums[0], other._cden)
+        if len(self._nums) == 1 and self.trunc == INF:
+            return other._monomial_mul(self._exps[0], self._eden, self._nums[0], self._cden)
         trunc = _product_trunc(self, other)
-        acc: dict[Fraction, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if e >= trunc:
-                    continue
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = c1 * c2
-                else:
-                    acc[e] = s + c1 * c2
-        return Series(tuple(sorted((e, c) for e, c in acc.items() if c != 0)), trunc)
+        if not self._nums or not other._nums:
+            return _zero(trunc)
+        ea, eb = self._eden, other._eden
+        e = ea if ea == eb else lcm(ea, eb)
+        xb = list(zip(_scaled(other._exps, e // eb), other._nums))
+        acc: dict[int, int] = {}
+        if trunc == INF:
+            for k1, n1 in zip(_scaled(self._exps, e // ea), self._nums):
+                for k2, n2 in xb:
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + n1 * n2
+        else:
+            cut = _cut(trunc, e)
+            for k1, n1 in zip(_scaled(self._exps, e // ea), self._nums):
+                lim = cut - k1
+                for k2, n2 in xb:
+                    if k2 >= lim:
+                        break
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + n1 * n2
+        keys = sorted(k for k, n in acc.items() if n)
+        return _canonical(e, keys, [acc[k] for k in keys], self._cden * other._cden, trunc)
 
     __rmul__ = __mul__
+
+    def _scale(self, q: Rational) -> "Series":
+        """Product with the exact constant q, without building a series for it."""
+        if not q:
+            return ZERO
+        if not self._nums:
+            return self
+        n = q.numerator
+        return _canonical(
+            self._eden, self._exps, [x * n for x in self._nums], self._cden * q.denominator, self.trunc
+        )
+
+    def _monomial_mul(self, k: int, eden: int, num: int, cden: int) -> "Series":
+        """Product with the exact monomial ``(num / cden) h^(k / eden)``."""
+        trunc = self.trunc
+        if trunc != INF:
+            trunc = trunc + Fraction(k, eden)
+        if not self._nums:
+            return _zero(trunc)
+        e = self._eden if self._eden == eden else lcm(self._eden, eden)
+        shift = k * (e // eden)
+        exps = [x + shift for x in _scaled(self._exps, e // self._eden)]
+        return _canonical(e, exps, [x * num for x in self._nums], self._cden * cden, trunc)
 
     def __pow__(self, k: int) -> "Series":
         if not isinstance(k, int):
@@ -180,26 +273,26 @@ class Series:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
+        if not other._nums:
             if other.trunc == INF:
                 raise ZeroDivisionError("series division by exact zero")
             raise IndeterminateAtTruncation(
                 f"division by element that is zero modulo h^{other.trunc}"
             )
-        if len(other.terms) == 1 and other.trunc == INF:
-            g, c = other.terms[0]
-            return Series(
-                tuple((e - g, cc / c) for e, cc in self.terms),
-                self.trunc - g if self.trunc != INF else INF,
-            )
+        if len(other._nums) == 1 and other.trunc == INF:
+            # times (d / n) h^(-k / E), the sign moved into the numerator
+            n, d = other._nums[0], other._cden
+            if n < 0:
+                n, d = -n, -d
+            return self._monomial_mul(-other._exps[0], other._eden, d, n)
         if other.trunc != INF:
             return self * other.inv()
         if self.trunc == INF:
             return exact_div(self, other)
-        if not self.terms:
-            return Series((), self.trunc - other.terms[0][0])
+        if not self._nums:
+            return _zero(self.trunc - other._val_or_inf())
         # the quotient is known to h^(T - val(other)); so is this product
-        return self * other.inv(self.trunc - self.terms[0][0])
+        return self * other.inv(self.trunc - self._val_or_inf())
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -237,15 +330,15 @@ class Series:
         ``order`` for an exact input, which then requires it (its inverse
         is an infinite series) and raises InexactDivision without it.
         """
-        if not self.terms:
+        if not self._nums:
             if self.trunc == INF:
                 raise ZeroDivisionError("inverse of exact zero")
             raise IndeterminateAtTruncation(
                 f"inverse of element that is zero modulo h^{self.trunc}"
             )
-        g0, c0 = self.terms[0]
-        lead_inv = Series(((-g0, 1 / c0),))
-        if len(self.terms) == 1 and self.trunc == INF:
+        g0, c0 = self._lead()
+        lead_inv = _monomial(-g0, 1 / c0)
+        if len(self._nums) == 1 and self.trunc == INF:
             return lead_inv
         window = self.trunc - g0 if self.trunc != INF else _required_order(order, "inverse")
         # self = c0 h^g0 (1 + u) with val(u) > 0; invert the (1 + u) factor.
@@ -254,7 +347,7 @@ class Series:
         neg_u = (ONE - self * lead_inv).truncate(window)
         acc = ZERO
         p = ONE
-        while p.terms and p.terms[0][0] < window:
+        while p._nums and p._val_or_inf() < window:
             acc = acc + p
             p = (p * neg_u).truncate(window)
         acc = acc + p  # folds the tail truncation into acc when p is inexact
@@ -276,23 +369,23 @@ class Series:
             )
         if s is not Sign.POSITIVE:
             raise NotPositive("sqrt requires a strictly positive element")
-        g0, c0 = self.terms[0]
+        g0, c0 = self._lead()
         rn, rd = isqrt(c0.numerator), isqrt(c0.denominator)
         if rn * rn != c0.numerator or rd * rd != c0.denominator:
             raise IrrationalLeadingCoefficient(
                 f"leading coefficient {c0} is not a rational square"
             )
-        lead = Series(((g0 / 2, Fraction(rn, rd)),))
-        if len(self.terms) == 1 and self.trunc == INF:
+        lead = _monomial(g0 / 2, Fraction(rn, rd))
+        if len(self._nums) == 1 and self.trunc == INF:
             return lead
         target = self.trunc if self.trunc != INF else g0 + _required_order(order, "square root")
         window = target - g0  # precision needed for the (1 + u)^(1/2) factor
-        u = (self * Series(((-g0, 1 / c0),)) - ONE).truncate(window)
+        u = (self * _monomial(-g0, 1 / c0) - ONE).truncate(window)
         acc = ZERO
         p = ONE
         coeff = Fraction(1)  # binomial(1/2, k)
         k = 0
-        while p.terms and p.terms[0][0] < window:
+        while p._nums and p._val_or_inf() < window:
             acc = acc + coeff * p
             k += 1
             coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
@@ -306,21 +399,19 @@ class Series:
         trunc = min(self.trunc, order)
         if trunc == self.trunc:
             return self
-        return Series(tuple((e, c) for e, c in self.terms if e < trunc), trunc)
+        n = bisect_left(self._exps, _cut(trunc, self._eden))
+        return _canonical(self._eden, self._exps[:n], self._nums[:n], self._cden, trunc)
 
     def shift(self, exponent: Rational) -> "Series":
         """Multiply by the exact monomial h^exponent."""
         exponent = Fraction(exponent)
-        return Series(
-            tuple((e + exponent, c) for e, c in self.terms),
-            self.trunc + exponent if self.trunc != INF else INF,
-        )
+        return self._monomial_mul(exponent.numerator, exponent.denominator, 1, 1)
 
     # -- printing ----------------------------------------------------------
 
     def literal(self) -> str:
         """Canonical literal, parseable by :func:`dq.parsing.parse_series`."""
-        if not self.terms:
+        if not self._nums:
             return "0"
         parts: list[str] = []
         for e, c in self.terms:
@@ -347,6 +438,44 @@ class Series:
         if self.trunc == INF:
             return f"Series[{self.literal()}]"
         return f"Series[{self.literal()} + O(h^{self.trunc})]"
+
+
+def _scaled(xs, factor: int):
+    return xs if factor == 1 else [x * factor for x in xs]
+
+
+def _cut(trunc: Fraction, eden: int) -> int:
+    """ceil(trunc * eden): ``k / eden < trunc`` exactly when ``k < _cut``."""
+    return -(-trunc.numerator * eden // trunc.denominator)
+
+
+def _zero(trunc: Order) -> Series:
+    """Empty support: the exact zero, or zero modulo h^trunc."""
+    return Series(1, [], [], 1, trunc)
+
+
+def _canonical(eden: int, exps: list[int], nums: list[int], cden: int, trunc: Order) -> Series:
+    """The canonical Series of aligned exponent and nonzero coefficient
+    numerators (exponents strictly increasing, ``cden > 0``); the lists are
+    stored, not copied."""
+    if not nums:
+        return _zero(trunc)
+    g = gcd(cden, *nums)
+    if g != 1:
+        cden //= g
+        nums = [n // g for n in nums]
+    g = gcd(eden, *exps)
+    if g != 1:
+        eden //= g
+        exps = [k // g for k in exps]
+    return Series(eden, exps, nums, cden, trunc)
+
+
+def _monomial(exponent: Fraction, coefficient: Fraction) -> Series:
+    """The exact monomial coefficient * h^exponent, coefficient nonzero."""
+    return Series(
+        exponent.denominator, [exponent.numerator], [coefficient.numerator], coefficient.denominator
+    )
 
 
 def _mono_str(e: Fraction) -> str | None:
@@ -378,7 +507,7 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         if value == 0:
             return ZERO
-        return Series(((Fraction(0), Fraction(value)),))
+        return Series(1, [0], [int(value.numerator)], int(value.denominator))
     return NotImplemented
 
 
@@ -407,10 +536,21 @@ def series(
     acc: dict[Fraction, Fraction] = {}
     for e, c in items:
         e, c = Fraction(e), Fraction(c)
-        if e >= trunc:
-            continue
-        acc[e] = acc.get(e, Fraction(0)) + c
-    return Series(tuple(sorted((e, c) for e, c in acc.items() if c != 0)), trunc)
+        if e < trunc:
+            s = acc.get(e)
+            acc[e] = c if s is None else s + c
+    pairs = [(e, c) for e, c in acc.items() if c]
+    if not pairs:
+        return _zero(trunc)
+    # over the lcm of reduced denominators the numerators share no factor
+    # with it, so this form is already canonical
+    eden = lcm(*(e.denominator for e, _ in pairs))
+    cden = lcm(*(c.denominator for _, c in pairs))
+    grid = sorted(
+        (e.numerator * (eden // e.denominator), c.numerator * (cden // c.denominator))
+        for e, c in pairs
+    )
+    return Series(eden, [k for k, _ in grid], [n for _, n in grid], cden, trunc)
 
 
 def rational(value: Rational) -> Series:
@@ -423,9 +563,9 @@ def h(exponent: Rational = 1, coefficient: Rational = 1) -> Series:
     return series([(exponent, coefficient)])
 
 
-ZERO = Series()
-ONE = Series(((Fraction(0), Fraction(1)),))
-HBAR = Series(((Fraction(1), Fraction(1)),))
+ZERO = _zero(INF)
+ONE = Series(1, [0], [1], 1)
+HBAR = Series(1, [1], [1], 1)
 
 
 def decide_sign(x: Series) -> Sign:
@@ -445,9 +585,9 @@ def decide_zero(x: Series | ComplexSeries) -> bool:
     function or :func:`decide_sign`.
     """
     if isinstance(x, ComplexSeries):
-        if x.re.terms or x.im.terms:
+        if x.re._nums or x.im._nums:
             return False
-    elif x.terms:
+    elif x._nums:
         return False
     if x.trunc == INF:
         return True
@@ -478,28 +618,30 @@ def exact_div(a: Series, b: Series) -> Series:
     """
     if a.trunc != INF or b.trunc != INF:
         raise InexactDivision("exact_div needs exact operands")
-    if not b.terms:
+    if not b._nums:
         raise ZeroDivisionError("series division by exact zero")
-    if not a.terms:
+    if not a._nums:
         return ZERO
-    top = a.terms[-1][0] - b.terms[-1][0]
-    g0, c0 = b.terms[0]
-    out: dict[Fraction, Fraction] = {}
+    top = Fraction(a._exps[-1], a._eden) - Fraction(b._exps[-1], b._eden)
+    g0, c0 = b._lead()
+    out: list[tuple[Fraction, Fraction]] = []
     rem = a
-    while rem.terms:
-        e = rem.terms[0][0] - g0
+    while rem._nums:
+        e0, r0 = rem._lead()
+        e = e0 - g0
         if e > top:
             raise InexactDivision(f"{a!r} is not divisible by {b!r}")
-        c = rem.terms[0][1] / c0
-        out[e] = c
-        rem = rem - Series(((e, c),)) * b
-    return Series(tuple(sorted(out.items())))
+        c = r0 / c0
+        out.append((e, c))
+        rem = rem - _monomial(e, c) * b
+    return series(out)
 
 
 def agree_mod_trunc(a: Series, b: Series) -> bool:
     """Do the stored terms agree below the common truncation order?"""
     w = min(a.trunc, b.trunc)
-    return [t for t in a.terms if t[0] < w] == [t for t in b.terms if t[0] < w]
+    # both cut to the same order, canonical forms agree exactly when the terms do
+    return a.truncate(w) == b.truncate(w)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +698,13 @@ class ComplexSeries:
         other = _ccoerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.im.is_zero and other.im.is_zero:
-            return ComplexSeries(self.re * other.re, ZERO)
-        return ComplexSeries(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # a product with an exact zero part is the exact zero: skip it
+        if d.is_zero:
+            return ComplexSeries(a * c, b if b.is_zero else b * c)
+        if b.is_zero:
+            return ComplexSeries(a * c, a * d)
+        return ComplexSeries(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -577,7 +720,7 @@ class ComplexSeries:
 
     def inv(self, order: Rational | None = None) -> "ComplexSeries":
         den = self.abs2()
-        if not den.terms and den.trunc == INF:
+        if den.is_zero:
             raise ZeroDivisionError("inverse of exact complex zero")
         dinv = den.inv(order)
         return ComplexSeries(self.re * dinv, -self.im * dinv)

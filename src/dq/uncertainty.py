@@ -40,7 +40,7 @@ from .linalg import (
     trace_bounds,
 )
 from .observables import Observable, moyal_bracket, require_real, star
-from .series import I_UNIT, ONE, Series, as_complex, decide_zero, series
+from .series import I_UNIT, ONE, ZERO, Series, as_complex, decide_zero, series
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
@@ -102,7 +102,7 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
                 )
             a[j][k] = a[k][j] = phi[j][k].re
             if j == k:
-                br = Series()
+                br = ZERO
             else:
                 br = half_h * state.expect_real(moyal_bracket(xs[j], xs[k]), "bracket moment")
             b[j][k], b[k][j] = br, -br

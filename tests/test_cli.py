@@ -169,6 +169,22 @@ def test_proptest_dimension_below_one_is_a_usage_error(dims):
     assert _main_err(["proptest", "robertson", "--trials", "2", *dims])[0] == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("trials", ["0", "-5", "x"])
+def test_proptest_trials_below_one_is_a_usage_error(trials):
+    # a suite that runs no trial must not report a pass
+    code, err = _main_err(["proptest", "field_axioms", "--trials", trials])
+    assert code == cli.EXIT_USAGE
+    assert "expected a trial count >= 1" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_star_uses_the_given_dimension(d):
+    code, err = _main_err(["star", "q1", "p1", "--d", d])
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: 'q1' at column 1: index exceeds d={d}\n"
+    assert _main(["star", "q1", "p1", "--d", "1"]) == (cli.EXIT_OK, "1/2*h*i + q1*p1\n")
+
+
 def test_moment_above_the_cap_is_an_error(workdir):
     code, err = _main_err(["check", "--state", "ground", "--obs=q1^7", "--obs=p1"])
     assert code == cli.EXIT_USAGE

@@ -89,6 +89,48 @@ class TestArithmeticExamples:
         assert b == series({0: 1, 1: 1, 2: 1}, trunc=3)
 
 
+class TestCanonicalForm:
+    """Values built on different integer grids compare and hash equal."""
+
+    @pytest.mark.parametrize(
+        "built, direct",
+        [
+            (h(F(1, 2)) * h(F(1, 2)), HBAR),
+            (series([(F(1, 3), 1), (F(1, 3), -1)]), ZERO),
+            (rational(F(6, 4)), rational(F(3, 2))),
+            # exponent grid 6 and content 6 before the fractional terms cancel
+            (series({F(1, 2): F(1, 6), 1: 1, F(4, 3): 2}) - h(F(1, 2), F(1, 6)) - h(F(4, 3), 2), HBAR),
+            (series({F(1, 3): F(1, 2), 2: 1}, trunc=F(5, 2)) + h(F(1, 3), F(-1, 2)), series({2: 1}, trunc=F(5, 2))),
+            (series({F(1, 2): 3, F(7, 4): F(1, 4)}).truncate(1), series({F(1, 2): 3}, trunc=1)),
+            (h(F(2, 3), 4).shift(F(1, 3)), h(1, 4)),
+        ],
+        ids=["half-half", "cancel", "6/4", "sum", "truncated sum", "truncate", "shift"],
+    )
+    def test_equal_values_compare_and_hash_equal(self, built, direct):
+        assert built == direct
+        assert hash(built) == hash(direct)
+
+    def test_terms_are_fraction_pairs(self):
+        a = series({F(5, 3): F(-1, 6), 0: 2, F(-1, 2): F(3, 4)}, trunc=F(7, 3))
+        assert a.terms == ((F(-1, 2), F(3, 4)), (F(0), F(2)), (F(5, 3), F(-1, 6)))
+        assert all(type(e) is F and type(c) is F for e, c in a.terms)
+        assert ZERO.terms == () and series({}, trunc=2).terms == ()
+
+    def test_storage_holds_no_fractions(self):
+        a = series({F(1, 2): F(3, 4), F(5, 3): F(-1, 6)}) * h(F(1, 4), F(2, 7))
+        stored = [getattr(a, name) for name in type(a).__slots__ if name != "trunc"]
+        flat = [x for v in stored for x in (v if isinstance(v, list) else [v])]
+        assert flat and all(type(x) is int for x in flat)
+
+
+@given(series_values(allow_exact=True))
+def test_terms_rebuild_the_value(a):
+    rebuilt = series(a.terms, a.trunc)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    exps = [e for e, _ in a.terms]
+    assert exps == sorted(set(exps)) and all(c != 0 and e < a.trunc for e, c in a.terms)
+
+
 class TestOrder:
     def test_positive_leading_coefficient(self):
         assert compare(series({F(1, 2): 2, 1: -3}), ZERO) is Sign.POSITIVE
