@@ -178,25 +178,25 @@ def _render_intelligent(args, checks: RelationChecks) -> None:
         print(f"ideal direction: {_pretty_direction(checks.direction)}")
 
 
+def _at_least_one(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, each at least 1; ``what`` names them in the error."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return values
+
+
 def _dims(text: str) -> tuple[int, ...]:
     """The --dims value: comma-separated dimensions, each at least 1."""
-    try:
-        dims = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        dims = ()
-    if not dims or min(dims) < 1:
-        raise argparse.ArgumentTypeError(f"expected dimensions >= 1 like 2,3, got {text!r}")
-    return dims
+    return _at_least_one(text, "dimensions >= 1 like 2,3")
 
 
 def _trials(text: str) -> int:
-    """The --trials value: a trial count of at least 1."""
-    try:
-        trials = int(text)
-    except ValueError:
-        trials = 0
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"expected a trial count >= 1, got {text!r}")
+    """The --trials value: one trial count of at least 1."""
+    (trials,) = _at_least_one(text, "a trial count >= 1")
     return trials
 
 

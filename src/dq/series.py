@@ -79,12 +79,14 @@ class Series:
     """A truncated power series in h, canonical and immutable.
 
     The fields are the integer grid of the module docstring; every exponent
-    ``k_j / E`` lies below ``trunc``.  The numerator lists are never
-    modified once stored, so values share them.  (Lists rather than tuples:
-    CPython keeps up to 2000 freed tuples of each small length for reuse,
-    and two short tuples per value held megabytes there.)  Use
-    :func:`series` (or the ``h``/``rational`` helpers) to build values; the
-    raw constructor does not normalize.
+    ``k_j / E`` lies below ``trunc``.  No field is assigned after
+    ``__init__`` and the numerator lists are never modified once stored, so
+    values share them; ``tests/test_series_layout.py`` rejects code that
+    writes a field or a numerator list (a runtime guard would slow every
+    construction).  Lists rather than tuples: CPython keeps up to 2000 freed
+    tuples of each small length for reuse, and two short tuples per value
+    held megabytes there.  Use :func:`series` (or the ``h``/``rational``
+    helpers) to build values; the raw constructor does not normalize.
     """
 
     __slots__ = ("_eden", "_exps", "_nums", "_cden", "trunc")
@@ -156,15 +158,10 @@ class Series:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
-        if not isinstance(other, Series):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        if not other._nums and trunc == self.trunc:
-            return self
-        if not self._nums and trunc == other.trunc:
-            return other
         ea, eb, da, db = self._eden, other._eden, self._cden, other._cden
         e = ea if ea == eb else lcm(ea, eb)
         d = da if da == db else lcm(da, db)
@@ -172,11 +169,8 @@ class Series:
         for k, n in zip(_scaled(other._exps, e // eb), _scaled(other._nums, d // db)):
             s = acc.get(k)
             acc[k] = n if s is None else s + n
-        if trunc == INF:
-            keys = sorted(k for k, n in acc.items() if n)
-        else:
-            cut = _cut(trunc, e)
-            keys = sorted(k for k, n in acc.items() if n and k < cut)
+        cut = INF if trunc == INF else _cut(trunc, e)
+        keys = sorted(k for k, n in acc.items() if n and k < cut)
         return _canonical(e, keys, [acc[k] for k in keys], d, trunc)
 
     __radd__ = __add__
@@ -201,31 +195,23 @@ class Series:
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
             return NotImplemented
-        if len(other._nums) == 1 and other.trunc == INF:
-            return self._monomial_mul(other._exps[0], other._eden, other._nums[0], other._cden)
-        if len(self._nums) == 1 and self.trunc == INF:
-            return other._monomial_mul(self._exps[0], self._eden, self._nums[0], self._cden)
         trunc = _product_trunc(self, other)
         if not self._nums or not other._nums:
             return _zero(trunc)
         ea, eb = self._eden, other._eden
         e = ea if ea == eb else lcm(ea, eb)
+        ka = _scaled(self._exps, e // ea)
         xb = list(zip(_scaled(other._exps, e // eb), other._nums))
+        # exponents k with k / e < trunc are kept; an exact product keeps all
+        cut = ka[-1] + xb[-1][0] + 1 if trunc == INF else _cut(trunc, e)
         acc: dict[int, int] = {}
-        if trunc == INF:
-            for k1, n1 in zip(_scaled(self._exps, e // ea), self._nums):
-                for k2, n2 in xb:
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + n1 * n2
-        else:
-            cut = _cut(trunc, e)
-            for k1, n1 in zip(_scaled(self._exps, e // ea), self._nums):
-                lim = cut - k1
-                for k2, n2 in xb:
-                    if k2 >= lim:
-                        break
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + n1 * n2
+        for k1, n1 in zip(ka, self._nums):
+            lim = cut - k1
+            for k2, n2 in xb:
+                if k2 >= lim:
+                    break
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + n1 * n2
         keys = sorted(k for k, n in acc.items() if n)
         return _canonical(e, keys, [acc[k] for k in keys], self._cden * other._cden, trunc)
 
@@ -235,8 +221,6 @@ class Series:
         """Product with the exact constant q, without building a series for it."""
         if not q:
             return ZERO
-        if not self._nums:
-            return self
         n = q.numerator
         return _canonical(
             self._eden, self._exps, [x * n for x in self._nums], self._cden * q.denominator, self.trunc
@@ -247,8 +231,6 @@ class Series:
         trunc = self.trunc
         if trunc != INF:
             trunc = trunc + Fraction(k, eden)
-        if not self._nums:
-            return _zero(trunc)
         e = self._eden if self._eden == eden else lcm(self._eden, eden)
         shift = k * (e // eden)
         exps = [x + shift for x in _scaled(self._exps, e // self._eden)]
@@ -698,13 +680,12 @@ class ComplexSeries:
         other = _ccoerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # a product with an exact zero part is the exact zero: skip it
-        if d.is_zero:
-            return ComplexSeries(a * c, b if b.is_zero else b * c)
-        if b.is_zero:
-            return ComplexSeries(a * c, a * d)
-        return ComplexSeries(a * c - b * d, a * d + b * c)
+        if self.im.is_zero and other.im.is_zero:
+            return ComplexSeries(self.re * other.re, ZERO)
+        return ComplexSeries(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
 
     __rmul__ = __mul__
 
