@@ -21,6 +21,7 @@ exit 3 marks a defect, not a precision the user can raise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,7 @@ def _resolve_state(spec: str, d: int) -> GaussianState:
     if spec == "ground":
         return ground(d)
     if spec.startswith("squeezed:"):
-        return squeezed(Fraction(spec.split(":", 1)[1]))
+        return squeezed(Fraction(spec.split(":", 1)[1]), d)
     if spec.startswith("correlated:"):
         return correlated(parse_series(spec.split(":", 1)[1]))
     if os.path.exists(spec):
@@ -207,7 +208,9 @@ def _cmd_proptest(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="dq",
         description="Exact series arithmetic and uncertainty-relation checks.",
@@ -253,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("suite", choices=SUITES)
     p_prop.add_argument("--trials", type=_trials, default=200)
     p_prop.add_argument("--seed", type=int, default=0)
-    p_prop.add_argument("--dims", type=_dims, default=None, help="comma-separated dimensions")
+    p_prop.add_argument(
+        "--dims", type=_dims, default=None, help="comma-separated sizes (robertson, hadamard, trace)"
+    )
     p_prop.set_defaults(func=_cmd_proptest)
     return parser
 

@@ -52,6 +52,8 @@ from .states import GaussianState, cauchy_schwarz_check, gelfand_norm, ground, s
 from .uncertainty import check_relations
 
 SUITES = ("field_axioms", "robertson", "hadamard", "trace", "moyal", "states", "uncertainty")
+#: the suites whose trials draw their sizes from ``dims``
+SIZED_SUITES = ("robertson", "hadamard", "trace")
 
 
 @dataclass
@@ -374,9 +376,11 @@ def run_hadamard(trials: int, seed: int, dims=None) -> SuiteReport:
 def run_trace(trials: int, seed: int, dims=None) -> SuiteReport:
     rng = random.Random(seed)
     dims = _dims_or_default(dims)
+    if min(dims) < 2:
+        raise ValueError("the trace suite needs dimensions >= 2")
     rep = SuiteReport("trace", trials, seed, dims)
     for t in range(trials):
-        n = max(2, dims[t % len(dims)])
+        n = dims[t % len(dims)]
         scalar = ("rational", "series")[(t // len(dims)) % 2]
         form = rand_gram(rng, n, scalar, singular=t % 7 == 6)
         ctx = f"trial={t} n={n} scalar={scalar}"
@@ -539,6 +543,10 @@ def run_uncertainty(trials: int, seed: int) -> SuiteReport:
 
 
 def run_suite(name: str, trials: int, seed: int, dims=None) -> SuiteReport:
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if dims is not None and name not in SIZED_SUITES:
+        raise ValueError(f"the {name} suite takes no dimensions")
     if name == "field_axioms":
         axioms = run_field_axioms(trials, seed)
         values = run_valuation_laws(trials, seed)
@@ -554,6 +562,4 @@ def run_suite(name: str, trials: int, seed: int, dims=None) -> SuiteReport:
         return run_moyal(trials, seed)
     if name == "states":
         return run_states(trials, seed)
-    if name == "uncertainty":
-        return run_uncertainty(trials, seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return run_uncertainty(trials, seed)

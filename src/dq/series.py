@@ -236,21 +236,6 @@ class Series:
         exps = [x + shift for x in _scaled(self._exps, e // self._eden)]
         return _canonical(e, exps, [x * num for x in self._nums], self._cden * cden, trunc)
 
-    def __pow__(self, k: int) -> "Series":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def __truediv__(self, other) -> "Series":
         other = _coerce(other)
         if other is NotImplemented:

@@ -2,11 +2,12 @@
 
 A state is a normalized linear functional on polynomial observables given
 by a mean vector and a symmetric covariance matrix with series entries.
-Expectations are evaluated symbolically: shift to central moments, then
-pair them up Isserlis/Wick style, so every expectation of a polynomial is
-an exact series.  Positivity of ``rho(conj(f) * f)`` holds for covariances
-at or above the quantum threshold and is exercised empirically by the
-property suites rather than assumed.
+The expectation of a monomial comes from one memoized recursion, Isserlis'
+theorem with a mean: E[X_a R] = mu_a E[R] + sum_b cov_ab E[R without X_b],
+so every expectation of a polynomial is an exact series.  Positivity of
+``rho(conj(f) * f)`` holds for covariances at or above the quantum
+threshold and is exercised empirically by the property suites rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
-from itertools import product
 
 from .errors import (
     AdmissibilityWarning,
@@ -44,7 +44,8 @@ from .series import (
     series,
 )
 
-#: Wick pairing enumeration grows double-factorially; central moments stop here
+#: largest monomial degree ``expectation`` evaluates; the number of moments
+#: the recursion visits grows quickly with the degree
 MOMENT_CAP = 12
 
 
@@ -69,6 +70,7 @@ class GaussianState:
         self.d = d
         self.mean = mean
         self.cov = cov
+        # moments by index multiset; perfbench/tracer.py reads it by this name
         self._central_cache: dict[tuple[int, ...], Series] = {}
         self._check_admissibility()
 
@@ -103,7 +105,12 @@ class GaussianState:
             raise DimensionMismatch(f"observable d={f.d}, state d={self.d}")
         total = ComplexSeries()
         for mono, coeff in f.terms.items():
-            total = total + coeff * self._raw_moment(mono)
+            idxs = tuple(i for i, e in enumerate(mono) for _ in range(e))
+            if len(idxs) > MOMENT_CAP:
+                raise MomentDegreeExceeded(
+                    f"moment of degree {len(idxs)} exceeds cap {MOMENT_CAP}"
+                )
+            total = total + coeff * self._moment(idxs)
         return total
 
     def expect_real(self, f: Observable, what: str = "expectation") -> Series:
@@ -113,66 +120,26 @@ class GaussianState:
             raise InternalConsistencyError(f"{what} has imaginary part {value.im}")
         return value.re
 
-    def _raw_moment(self, mono: tuple[int, ...]) -> Series:
-        slots = [i for i, e in enumerate(mono) if e]
-        total = ZERO
-        choices = []
-        for i in slots:
-            # only the full central power survives when the mean vanishes
-            if self.mean[i].is_zero:
-                choices.append((mono[i],))
-            else:
-                choices.append(tuple(range(mono[i] + 1)))
-        for combo in product(*choices):
-            idxs = []
-            for i, k in zip(slots, combo):
-                idxs.extend([i] * k)
-            w = self._central_moment(tuple(idxs))
-            if w.is_zero:
-                continue
-            factor = ONE
-            for i, k in zip(slots, combo):
-                factor = factor * _binom(mono[i], k)
-                factor = factor * self.mean[i] ** (mono[i] - k)
-            total = total + factor * w
-        return total
-
-    def _central_moment(self, idxs: tuple[int, ...]) -> Series:
-        """Wick pairing sum over the multiset of coordinate indices."""
-        if len(idxs) % 2:
-            return ZERO
+    def _moment(self, idxs: tuple[int, ...]) -> Series:
+        """E[X_a X_b ...] over the sorted index multiset ``idxs``."""
         if not idxs:
             return ONE
-        if len(idxs) > MOMENT_CAP:
-            raise MomentDegreeExceeded(
-                f"central moment of degree {len(idxs)} exceeds cap {MOMENT_CAP}"
-            )
         cached = self._central_cache.get(idxs)
         if cached is not None:
             return cached
         first, rest = idxs[0], idxs[1:]
-        total = ZERO
-        for pos in range(len(rest)):
-            if pos and rest[pos] == rest[pos - 1]:
-                continue  # identical partners grouped below via multiplicity
-            mult = rest.count(rest[pos])
-            sub = rest[:pos] + rest[pos + mult :]
-            partners = (rest[pos],) * (mult - 1)
-            total = total + mult * self.cov[first][rest[pos]] * self._central_moment(
-                tuple(sorted(sub + partners))
-            )
+        mu = self.mean[first]
+        total = ZERO if mu.is_zero else mu * self._moment(rest)
+        for pos, b in enumerate(rest):
+            if pos and b == rest[pos - 1]:
+                continue  # identical partners grouped via their multiplicity
+            mult = rest.count(b)
+            total = total + mult * self.cov[first][b] * self._moment(rest[:pos] + rest[pos + 1 :])
         self._central_cache[idxs] = total
         return total
 
     def __repr__(self) -> str:
         return f"GaussianState(d={self.d})"
-
-
-def _binom(n: int, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= Fraction(n - i, i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,7 @@ class AnnihilatorResult:
     rs: InequalityReport
 
 
-def check_annihilating_transform(
-    state: GaussianState, xs, u, v, mm: MomentMatrices | None = None
-) -> AnnihilatorResult:
+def check_annihilating_transform(state: GaussianState, xs, u, v) -> AnnihilatorResult:
     """Build ladder combinations dA_a = (dX_a + i dX_{a+m})/2, transform them
     by an invertible (u, v) block pair, and test whether every transformed
     combination is annihilated; if so the RS relation must be saturated."""
@@ -218,7 +216,7 @@ def check_annihilating_transform(
     ]
     if decide_zero(determinant(block)):
         raise SingularTransform("the (u, v) block matrix is singular")
-    mm = mm if mm is not None else moment_matrices(state, xs)
+    mm = moment_matrices(state, xs)
     devs = mm.devs
     ladders = [
         (devs[alpha] + devs[alpha + m] * I_UNIT) * Fraction(1, 2) for alpha in range(m)

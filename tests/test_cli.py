@@ -188,7 +188,31 @@ def test_star_uses_the_given_dimension(d):
 def test_moment_above_the_cap_is_an_error(workdir):
     code, err = _main_err(["check", "--state", "ground", "--obs=q1^7", "--obs=p1"])
     assert code == cli.EXIT_USAGE
-    assert "central moment of degree 14 exceeds cap 12" in err
+    assert "moment of degree 14 exceeds cap 12" in err
+
+
+def test_squeezed_state_takes_the_dimension_of_the_observables(workdir):
+    code, _ = _main(["check", "--state", "squeezed:2", "--obs=q1", "--obs=q2"])
+    assert code == cli.EXIT_OK
+    code, out = _main(["check", "--state", "squeezed:2", "--obs=q2", "--obs=p2"])
+    assert code == cli.EXIT_OK
+    assert out.startswith("RS: saturated")
+
+
+@pytest.mark.parametrize("suite", ["field_axioms", "moyal", "states", "uncertainty"])
+def test_proptest_dims_of_an_unsized_suite_is_a_usage_error(suite):
+    code, err = _main_err(["proptest", suite, "--trials", "1", "--dims", "3"])
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: the {suite} suite takes no dimensions\n"
+
+
+def test_proptest_trace_dimension_one_is_a_usage_error():
+    code, err = _main_err(["proptest", "trace", "--trials", "1", "--dims", "2,1"])
+    assert code == cli.EXIT_USAGE
+    assert err == "error: the trace suite needs dimensions >= 2\n"
+    code, out = _main(["proptest", "trace", "--trials", "2", "--dims", "2,3"])
+    assert code == cli.EXIT_OK
+    assert out.startswith("suite trace: trials=2 seed=0 dims=2,3\n")
 
 
 def _record() -> None:

@@ -182,7 +182,8 @@ class TestCongruence:
         prod = ONE
         for x in diag:
             prod *= x
-        assert determinant(s) * determinant(d) ** 2 == prod
+        det_d = determinant(d)
+        assert determinant(s) * det_d * det_d == prod
 
     def test_series_entries(self):
         s = [[h(1), h(1, F(1, 2))], [h(1, F(1, 2)), h(1)]]
