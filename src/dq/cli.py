@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import DQError, ExprSyntaxError, IndeterminateAtTruncation
 from .linalg import Relation
 from .parsing import infer_dof, parse_observable, parse_series
-from .proptests import SUITES, run_suite
+from .proptests import SIZED_SUITES, SUITES, run_suite
 from .series import ComplexSeries
 from .states import GaussianState, correlated, ground, load_state, squeezed
 from .uncertainty import RelationChecks, check_relations
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("--trials", type=_trials, default=200)
     p_prop.add_argument("--seed", type=int, default=0)
     p_prop.add_argument(
-        "--dims", type=_dims, default=None, help="comma-separated sizes (robertson, hadamard, trace)"
+        "--dims", type=_dims, default=None, help=f"comma-separated sizes ({', '.join(SIZED_SUITES)})"
     )
     p_prop.set_defaults(func=_cmd_proptest)
     return parser

@@ -171,7 +171,7 @@ def parse_series(text: str) -> Series:
 # observable expressions
 
 
-def _parse_atom(c: _Cursor, d: int, text: str) -> Observable:
+def _parse_atom(c: _Cursor, d: int) -> Observable:
     tok = c.cur
     if tok.kind == "qp":
         c.advance()
@@ -188,29 +188,19 @@ def _parse_atom(c: _Cursor, d: int, text: str) -> Observable:
         return constant(d, ComplexSeries(series([(1, 1)])))
     if tok.kind == "op" and tok.text == "-" and c.tokens[c.i + 1].kind != "num":
         c.advance()
-        return -_parse_pow(c, d, text)
+        return -_parse_pow(c, d)
     if tok.kind == "num" or (tok.kind == "op" and tok.text == "-"):
         return constant(d, ComplexSeries(series([(0, _parse_rational(c))])))
-    if c.accept("("):
-        # parenthesized rational like (3/2) is resolved by the lookahead:
-        # "( int / int )" with nothing else is a rational atom
-        c.i -= 1
-        save = c.i
-        try:
-            value = _parse_rational(c)
-            return constant(d, ComplexSeries(series([(0, value)])))
-        except ExprSyntaxError:
-            c.i = save
-        c.accept("(")
-        inner = _parse_sum(c, d, text)
+    if c.accept("("):  # a group; (3/2) is the rational 3/2 in one
+        inner = _parse_sum(c, d)
         if not c.accept(")"):
             c.fail("expected ')'")
         return inner
     c.fail("expected q<i>, p<i>, 'i', 'h', a rational, '-' or '('")
 
 
-def _parse_pow(c: _Cursor, d: int, text: str) -> Observable:
-    base = _parse_atom(c, d, text)
+def _parse_pow(c: _Cursor, d: int) -> Observable:
+    base = _parse_atom(c, d)
     if c.accept("^"):
         if c.cur.kind != "num":
             c.fail("expected a positive integer exponent")
@@ -221,20 +211,20 @@ def _parse_pow(c: _Cursor, d: int, text: str) -> Observable:
     return base
 
 
-def _parse_prod(c: _Cursor, d: int, text: str) -> Observable:
-    out = _parse_pow(c, d, text)
+def _parse_prod(c: _Cursor, d: int) -> Observable:
+    out = _parse_pow(c, d)
     while c.accept("*"):
-        out = out * _parse_pow(c, d, text)
+        out = out * _parse_pow(c, d)
     return out
 
 
-def _parse_sum(c: _Cursor, d: int, text: str) -> Observable:
-    out = _parse_prod(c, d, text)
+def _parse_sum(c: _Cursor, d: int) -> Observable:
+    out = _parse_prod(c, d)
     while True:
         if c.accept("+"):
-            out = out + _parse_prod(c, d, text)
+            out = out + _parse_prod(c, d)
         elif c.accept("-"):
-            out = out - _parse_prod(c, d, text)
+            out = out - _parse_prod(c, d)
         else:
             return out
 
@@ -253,7 +243,7 @@ def parse_observable(text: str, d: int | None = None) -> Observable:
     if d is None:
         d = infer_dof(text)
     c = _Cursor(text)
-    out = _parse_sum(c, d, text)
+    out = _parse_sum(c, d)
     if c.cur.kind != "end":
         c.fail(f"unexpected {c.cur.text!r}")
     return out

@@ -684,16 +684,6 @@ class ComplexSeries:
         den = other.abs2()
         return ComplexSeries(num.re / den, num.im / den)
 
-    def inv(self, order: Rational | None = None) -> "ComplexSeries":
-        den = self.abs2()
-        if den.is_zero:
-            raise ZeroDivisionError("inverse of exact complex zero")
-        dinv = den.inv(order)
-        return ComplexSeries(self.re * dinv, -self.im * dinv)
-
-    def truncate(self, order: Rational | float) -> "ComplexSeries":
-        return ComplexSeries(self.re.truncate(order), self.im.truncate(order))
-
     def __repr__(self) -> str:
         return f"ComplexSeries[({self.re}) + i*({self.im})]"
 

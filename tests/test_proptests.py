@@ -1,16 +1,14 @@
-"""The seeded proptest suites at a modest size."""
+"""The seeded proptest suites at a modest size, every suite of the table."""
 
 import pytest
 
-from dq.proptests import run_suite
+from dq.proptests import SUITES, run_suite
 
 TRIALS, SEED = 20, 0
 
 
 @pytest.mark.filterwarnings("error::dq.errors.AdmissibilityWarning")
-@pytest.mark.parametrize(
-    "suite", ["field_axioms", "robertson", "hadamard", "trace", "moyal", "states", "uncertainty"]
-)
+@pytest.mark.parametrize("suite", SUITES)
 def test_suite_passes(suite):
     report = run_suite(suite, TRIALS, SEED)
     assert report.ok, "\n".join(report.lines())

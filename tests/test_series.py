@@ -221,16 +221,6 @@ class TestComplex:
         assert z.conj() == ComplexSeries(ONE, -HBAR)
         assert z.conj().conj() == z
 
-    def test_cinv(self):
-        # oracle: cmul(z, cinv(z)) = 1 modulo truncation
-        z = ComplexSeries(ONE, HBAR)
-        w = z * z.inv(order=8)
-        assert agree_mod_trunc(w.re, ONE) and not w.im.terms
-
-    def test_cinv_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ComplexSeries().inv()
-
 
 class TestExactDivision:
     def test_exact_quotient(self):
