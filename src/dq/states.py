@@ -4,10 +4,18 @@ A state is a normalized linear functional on polynomial observables given
 by a mean vector and a symmetric covariance matrix with series entries.
 The expectation of a monomial comes from one memoized recursion, Isserlis'
 theorem with a mean: E[X_a R] = mu_a E[R] + sum_b cov_ab E[R without X_b],
-so every expectation of a polynomial is an exact series.  Positivity of
-``rho(conj(f) * f)`` holds for covariances at or above the quantum
-threshold and is exercised empirically by the property suites rather than
-assumed.
+so every expectation of a polynomial is an exact series.
+
+The same recursion gives star moments without a star product:
+``rho(f * g) = E[f(X) g(Y)]`` for the doubled Gaussian (X, Y) with mean
+(mu, mu), Cov(X, X) = Cov(Y, Y) = cov and cross block
+Cov(X, Y) = cov + (i h/2) J, J = [[0, I], [-I, 0]].  That cross block is
+the matrix of the quantum condition (Simon, Mukunda and Dutta 1994), whose
+non-negativity ``_check_admissibility`` tests; when it fails, the witness
+it returns is re-verified as a linear f with ``rho(conj(f) * f) < 0``
+through ``star``, so the warning names a proof that positivity fails.
+``gelfand_norm`` keeps the star path and is the independent check of the
+pairing at saturation; tier-1 compares the two on random states.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .linalg import (
     is_nonneg_definite,
     relation_of,
 )
-from .observables import Observable, constant, require_real, star
+from .observables import Observable, constant, observable, require_real, star
 from .series import (
     ComplexSeries,
     ONE,
@@ -44,15 +52,33 @@ from .series import (
     series,
 )
 
-#: largest monomial degree ``expectation`` evaluates; the number of moments
-#: the recursion visits grows quickly with the degree
+#: largest monomial degree ``expectation`` evaluates, and largest
+#: deg f + deg g that ``star_expectation`` pairs; the number of moments the
+#: recursion visits grows quickly with the degree
 MOMENT_CAP = 12
+
+#: h/2, the scale of the canonical commutation relation
+HALF_H = series([(1, Fraction(1, 2))])
+
+
+def _cross_covariance(cov, d: int):
+    """cov + (i h/2) J with J = [[0, I], [-I, 0]], as complex rows."""
+    rows = [[ComplexSeries(x) for x in row] for row in cov]
+    for j in range(d):
+        rows[j][j + d] = ComplexSeries(cov[j][j + d], HALF_H)
+        rows[j + d][j] = ComplexSeries(cov[j + d][j], -HALF_H)
+    return tuple(tuple(row) for row in rows)
+
+
+def _indices(mono) -> tuple[int, ...]:
+    """The sorted index multiset of a monomial's exponent vector."""
+    return tuple(i for i, e in enumerate(mono) for _ in range(e))
 
 
 class GaussianState:
     """Mean vector (q1..qd, p1..pd) plus symmetric covariance matrix."""
 
-    __slots__ = ("d", "mean", "cov", "_central_cache")
+    __slots__ = ("d", "mean", "cov", "_cross", "_central_cache", "_pair_cache")
 
     def __init__(self, mean, cov):
         mean = tuple(as_series(x) for x in mean)
@@ -70,29 +96,38 @@ class GaussianState:
         self.d = d
         self.mean = mean
         self.cov = cov
+        self._cross = _cross_covariance(cov, d)
         # moments by index multiset; perfbench/tracer.py reads it by this name
         self._central_cache: dict[tuple[int, ...], Series] = {}
+        # mixed moments of the doubled Gaussian by (X multiset, Y multiset)
+        self._pair_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], ComplexSeries] = {}
         self._check_admissibility()
 
     def _check_admissibility(self):
         # quantum condition for every d: cov + (i h/2) J is non-negative
-        # definite, J = [[0, I], [-I, 0]] (Simon, Mukunda and Dutta 1994);
-        # below it positivity of the functional can fail, which the
-        # relation checks then report
-        d, half_h = self.d, _hbar_over(2)
-        rows = [[ComplexSeries(x) for x in row] for row in self.cov]
-        for j in range(d):
-            rows[j][j + d] = ComplexSeries(self.cov[j][j + d], half_h)
-            rows[j + d][j] = ComplexSeries(self.cov[j + d][j], -half_h)
-        if is_nonneg_definite(hermitian_form(rows))[0] is not Definiteness.INDEFINITE:
+        # definite (Simon, Mukunda and Dutta 1994)
+        cls, v = is_nonneg_definite(hermitian_form(self._cross))
+        if cls is not Definiteness.INDEFINITE:
             return
         # classical requirement: the covariance is non-negative definite
         _, diag = congruence_diagonalize(self.cov)
         for entry in diag:
             if decide_sign(entry) is Sign.NEGATIVE:
                 raise ValueError("covariance matrix is not non-negative definite")
+        # v^H (cov + (i h/2) J) v < 0 is rho(conj(f) * f) for
+        # f = sum_j v_j (xi_j - mu_j); the star path re-derives it
+        n = 2 * self.d
+        terms = {tuple(int(i == j) for i in range(n)): v[j] for j in range(n)}
+        terms[(0,) * n] = -sum((vj * mu for vj, mu in zip(v, self.mean)), ComplexSeries())
+        f = observable(self.d, terms)
+        norm = gelfand_norm(self, f)
+        if decide_sign(norm) is not Sign.NEGATIVE:
+            raise InternalConsistencyError(
+                f"positivity witness has rho(conj(f) * f) = {norm}, not negative"
+            )
         warnings.warn(
-            "cov + (i h/2) J is not non-negative definite: functional may fail positivity",
+            "cov + (i h/2) J is not non-negative definite: positivity fails, "
+            f"rho(conj(f) * f) = {norm} < 0 for f = {f!r}",
             AdmissibilityWarning,
             stacklevel=3,
         )
@@ -105,7 +140,7 @@ class GaussianState:
             raise DimensionMismatch(f"observable d={f.d}, state d={self.d}")
         total = ComplexSeries()
         for mono, coeff in f.terms.items():
-            idxs = tuple(i for i, e in enumerate(mono) for _ in range(e))
+            idxs = _indices(mono)
             if len(idxs) > MOMENT_CAP:
                 raise MomentDegreeExceeded(
                     f"moment of degree {len(idxs)} exceeds cap {MOMENT_CAP}"
@@ -136,6 +171,49 @@ class GaussianState:
             mult = rest.count(b)
             total = total + mult * self.cov[first][b] * self._moment(rest[:pos] + rest[pos + 1 :])
         self._central_cache[idxs] = total
+        return total
+
+    def star_expectation(self, f: Observable, g: Observable) -> ComplexSeries:
+        """Exact rho(f * g), read off the doubled Gaussian without forming f * g."""
+        for x in (f, g):
+            if x.d != self.d:
+                raise DimensionMismatch(f"observable d={x.d}, state d={self.d}")
+        degree = f.degree + g.degree
+        if degree > MOMENT_CAP:
+            raise MomentDegreeExceeded(f"moment of degree {degree} exceeds cap {MOMENT_CAP}")
+        right = [(_indices(mono), coeff) for mono, coeff in g.terms.items()]
+        total = ComplexSeries()
+        for mono, coeff in f.terms.items():
+            xs = _indices(mono)
+            for ys, coeff2 in right:
+                total = total + coeff * coeff2 * self._pair_moment(xs, ys)
+        return total
+
+    def _pair_moment(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> ComplexSeries:
+        """E[X_a X_b ... Y_c Y_d ...] over the sorted multisets ``xs``, ``ys``."""
+        if not xs or not ys:
+            return ComplexSeries(self._moment(xs or ys))
+        key = (xs, ys)
+        cached = self._pair_cache.get(key)
+        if cached is not None:
+            return cached
+        first, rest = xs[0], xs[1:]
+        mu = self.mean[first]
+        total = ComplexSeries() if mu.is_zero else mu * self._pair_moment(rest, ys)
+        for pos, b in enumerate(rest):
+            if pos and b == rest[pos - 1]:
+                continue  # identical partners grouped via their multiplicity
+            mult = rest.count(b)
+            total = total + mult * self.cov[first][b] * self._pair_moment(
+                rest[:pos] + rest[pos + 1 :], ys
+            )
+        cross = self._cross[first]
+        for pos, b in enumerate(ys):
+            if pos and b == ys[pos - 1]:
+                continue
+            mult = ys.count(b)
+            total = total + mult * cross[b] * self._pair_moment(rest, ys[:pos] + ys[pos + 1 :])
+        self._pair_cache[key] = total
         return total
 
     def __repr__(self) -> str:
@@ -180,14 +258,10 @@ def cauchy_schwarz_check(
 # named states and file IO
 
 
-def _hbar_over(k: int) -> Series:
-    return series([(1, Fraction(1, k))])
-
-
 def ground(d: int = 1) -> GaussianState:
     """Mean zero, covariance (h/2) * identity."""
     n = 2 * d
-    cov = [[_hbar_over(2) if i == j else ZERO for j in range(n)] for i in range(n)]
+    cov = [[HALF_H if i == j else ZERO for j in range(n)] for i in range(n)]
     return GaussianState([ZERO] * n, cov)
 
 
@@ -207,8 +281,7 @@ def squeezed(s, d: int = 1) -> GaussianState:
 def correlated(c) -> GaussianState:
     """d=1 state with cov [[h/2, c], [c, h/2]]; c != 0 trips the threshold warning."""
     c = as_series(c)
-    half = _hbar_over(2)
-    return GaussianState([ZERO, ZERO], [[half, c], [c, half]])
+    return GaussianState([ZERO, ZERO], [[HALF_H, c], [c, HALF_H]])
 
 
 def _strings(x) -> bool:

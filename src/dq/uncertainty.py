@@ -2,8 +2,12 @@
 
 For real observables X_1..X_n and a state rho, the matrix
 ``phi_jk = rho(dX_j * dX_k)`` of star-moments of the deviations splits into
-a symmetric covariance part ``a`` and a skew part ``b`` with
-``b_jk = (h/2) rho({X_j, X_k}_star)``.  The determinant inequalities of
+a symmetric covariance part ``a = Re phi`` and a skew part ``b = Im phi``,
+which equals ``(h/2) rho({X_j, X_k}_star)``.  phi is read off the Gaussian
+pairing ``GaussianState.star_expectation`` (``rho(f * g) = E[f(X) g(Y)]``
+with cross covariance cov + (i h/2) J), so building it takes no star
+product; tier-1 compares that pairing with the star path and b with the
+bracket moments on random states.  The determinant inequalities of
 :mod:`dq.linalg` then read:
 
 * ``det(a) >= det(b)``            (Robertson-Schroedinger relation)
@@ -17,8 +21,9 @@ here, is decided exactly by :func:`dq.series.decide_zero` and
 moments, and on a state built from truncated series a decision the
 truncation leaves open raises IndeterminateAtTruncation.  Saturation
 witnesses are produced through membership of deviation combinations in the
-state's annihilating (Gel'fand) ideal.  :func:`check_relations` runs all of
-this from one moment computation.
+state's annihilating (Gel'fand) ideal; that membership test keeps the star
+path, so at saturation it checks the pairing at run time.
+:func:`check_relations` runs all of this from one moment computation.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from .linalg import (
     relation_of,
     trace_bounds,
 )
-from .observables import Observable, moyal_bracket, require_real, star
-from .series import I_UNIT, ONE, ZERO, Series, as_complex, decide_zero, series
+from .observables import Observable, require_real
+from .series import I_UNIT, ONE, Series, as_complex, decide_zero
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
@@ -77,11 +82,14 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
     """phi, a, b, the variances and the deviations for the given real
     observables.
 
-    a is the real part of phi; by linearity it equals the symmetrized star
-    moment, which is real exactly when phi is conjugate symmetric, and that
-    is checked entry by entry.  b is computed by its own formula (the
-    h/2-scaled bracket moment) and cross-checked against the imaginary part
-    of phi, which is this module's core internal oracle.
+    phi_jk = rho(dX_j * dX_k) comes from the Gaussian pairing for j <= k,
+    and phi_kj = conj(phi_jk) because the deviations are real; no star
+    product is formed.  a = Re phi is the symmetrized star moment and
+    b = Im phi the (h/2)-scaled bracket moment.  The pairing against the
+    star path, and b against the brackets, are checked in tier-1
+    (tests/test_states.py); at run time the Gel'fand-ideal membership of
+    the witnesses, which goes through the star path, checks phi at
+    saturation.
     """
     xs = list(xs)
     if not xs:
@@ -90,30 +98,17 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
         require_real(x)
     n = len(xs)
     devs = [deviation(state, x) for x in xs]
-    half_h = series([(1, Fraction(1, 2))])
-    phi = [[state.expectation(star(devs[j], devs[k])) for k in range(n)] for j in range(n)]
-    a = [[None] * n for _ in range(n)]
-    b = [[None] * n for _ in range(n)]
+    phi = [[None] * n for _ in range(n)]
     for j in range(n):
+        for k in range(j):
+            phi[j][k] = phi[k][j].conj()
         for k in range(j, n):
-            if phi[k][j] != phi[j][k].conj():
-                raise InternalConsistencyError(
-                    f"phi[{k}][{j}] != conj(phi[{j}][{k}]): {phi[k][j]!r} vs {phi[j][k]!r}"
-                )
-            a[j][k] = a[k][j] = phi[j][k].re
-            if j == k:
-                br = ZERO
-            else:
-                br = half_h * state.expect_real(moyal_bracket(xs[j], xs[k]), "bracket moment")
-            b[j][k], b[k][j] = br, -br
-            if phi[j][k].im != br:
-                raise InternalConsistencyError(
-                    f"Im phi[{j}][{k}] != (h/2) rho(bracket): {phi[j][k].im!r} vs {br!r}"
-                )
+            phi[j][k] = state.star_expectation(devs[j], devs[k])
+    a = tuple(tuple(x.re for x in row) for row in phi)
     return MomentMatrices(
         phi=hermitian_form(phi),
-        a=tuple(tuple(row) for row in a),
-        b=tuple(tuple(row) for row in b),
+        a=a,
+        b=tuple(tuple(x.im for x in row) for row in phi),
         variances=tuple(a[j][j] for j in range(n)),
         devs=tuple(devs),
     )

@@ -1,5 +1,6 @@
 """Gaussian states: admissibility (cov + (i h/2) J non-negative definite)
-and the moments of ``expectation`` against a sympy oracle."""
+and its witness, the moments of ``expectation`` against a sympy oracle,
+and the star moments of ``star_expectation`` against the star path."""
 
 import itertools
 import random
@@ -10,10 +11,20 @@ from math import comb
 import pytest
 import sympy as sp
 
-from dq.errors import AdmissibilityWarning, MomentDegreeExceeded
-from dq.observables import observable
-from dq.series import ZERO, h, series
-from dq.states import MOMENT_CAP, GaussianState, correlated, ground, squeezed
+from dq import states
+from dq.errors import AdmissibilityWarning, InternalConsistencyError, MomentDegreeExceeded
+from dq.observables import moyal_bracket, observable, star
+from dq.series import ComplexSeries, ZERO, h, series
+from dq.states import (
+    HALF_H,
+    MOMENT_CAP,
+    GaussianState,
+    correlated,
+    gelfand_norm,
+    ground,
+    squeezed,
+)
+from dq.uncertainty import moment_matrices
 
 
 def _diagonal_state(*variances):
@@ -30,6 +41,35 @@ def test_two_mode_state_below_the_threshold_warns():
 
 def test_correlated_state_below_the_threshold_warns():
     with pytest.warns(AdmissibilityWarning):
+        correlated(h(1, F(1, 4)))
+
+
+def test_the_warning_names_an_observable_of_negative_norm():
+    # cov + (i h/2) J = [[h/2, h/4 + i h/2], [h/4 - i h/2, h/2]] has a negative
+    # eigenvalue; its witness v spells f = v_1 q1 + v_2 p1
+    with pytest.warns(AdmissibilityWarning) as record:
+        state = correlated(h(1, F(1, 4)))
+    v1 = ComplexSeries(h(1, F(-1, 4)), h(1, F(-1, 2)))
+    f = observable(1, {(1, 0): v1, (0, 1): h(1, F(1, 2))})
+    assert gelfand_norm(state, f) == h(3, F(-1, 32))
+    assert str(record[0].message) == (
+        "cov + (i h/2) J is not non-negative definite: positivity fails, "
+        "rho(conj(f) * f) = -1/32*h^3 < 0 for f = "
+        "Observable[d=1: 1/2*h*p1 - 1/4*h*q1 - 1/2*h*i*q1]"
+    )
+
+
+def test_the_warning_counts_the_terms_of_a_witness_it_cannot_spell():
+    # Var(q1) Var(p1) = h^2/8 < h^2/4 with the powers h^(1/2) and h^(3/2):
+    # the witness's coefficients carry fractional powers of h
+    want = r"= -1/32\*h\^\(5/2\) < 0 for f = Observable\[d=1: 2 terms\]$"
+    with pytest.warns(AdmissibilityWarning, match=want):
+        _diagonal_state(h(F(1, 2), F(1, 4)), h(F(3, 2), F(1, 2)))
+
+
+def test_a_witness_of_nonnegative_norm_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(states, "gelfand_norm", lambda state, f: ZERO)
+    with pytest.raises(InternalConsistencyError, match="positivity witness"):
         correlated(h(1, F(1, 4)))
 
 
@@ -133,3 +173,55 @@ def test_moment_of_cap_degree_evaluates():
 def test_moment_above_the_cap_raises(mono):
     with pytest.raises(MomentDegreeExceeded, match=f"moment of degree 13 exceeds cap {MOMENT_CAP}"):
         _one_mode_state().expectation(observable(1, {mono: 1}))
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian pairing against the star path
+
+
+def _rand_observable(rng: random.Random, d: int, real: bool):
+    """Up to four monomials of degree <= 3 with coefficients a + b h + i (c + e h)."""
+
+    def part():
+        return series([(0, F(rng.randint(-3, 3), rng.randint(1, 2))), (1, rng.randint(-1, 1))])
+
+    n = 2 * d
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = [0] * n
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = ComplexSeries(part(), ZERO if real else part())
+    return observable(d, terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_pairing_equals_the_star_path(seed, d):
+    rng = random.Random(1000 * d + seed)
+    state = _rand_state(rng, d)
+    fs = [_rand_observable(rng, d, real=False) for _ in range(4)]
+    for f in fs:
+        for g in fs:
+            assert state.star_expectation(f, g) == state.expectation(star(f, g))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_phi_is_the_star_moment_and_its_imaginary_part_the_bracket(seed, d):
+    rng = random.Random(2000 * d + seed)
+    state = _rand_state(rng, d)
+    xs = [_rand_observable(rng, d, real=True) for _ in range(3)]
+    mm = moment_matrices(state, xs)
+    for j, dj in enumerate(mm.devs):
+        for k, dk in enumerate(mm.devs):
+            assert mm.phi.entries[j][k] == state.expectation(star(dj, dk))
+            bracket = state.expect_real(moyal_bracket(xs[j], xs[k]))
+            assert mm.b[j][k] == HALF_H * bracket
+
+
+def test_the_pairing_caps_the_total_degree():
+    q7, p6 = observable(1, {(7, 0): 1}), observable(1, {(0, 6): 1})
+    assert not _one_mode_state().star_expectation(p6, p6).is_zero
+    with pytest.raises(MomentDegreeExceeded, match=f"moment of degree 13 exceeds cap {MOMENT_CAP}"):
+        _one_mode_state().star_expectation(q7, p6)

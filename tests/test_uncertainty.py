@@ -5,45 +5,59 @@ from fractions import Fraction as F
 
 import pytest
 
-from dq import uncertainty
+from dq import states, uncertainty
 from dq.errors import InternalConsistencyError
 from dq.linalg import Relation
-from dq.observables import constant, coordinate
-from dq.series import I_UNIT
-from dq.states import ground, squeezed
+from dq.observables import coordinate
+from dq.states import GaussianState, ground, squeezed
 from dq.uncertainty import check_annihilating_transform, check_relations
 
 Q, P = coordinate(1, "q", 1), coordinate(1, "p", 1)
 
 
-def _counting(monkeypatch, calls, name):
-    orig = getattr(uncertainty, name)
+def _counting(monkeypatch, calls, owner, name):
+    orig = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(uncertainty, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def test_two_observables_share_one_moment_computation(monkeypatch):
     calls = Counter()
-    for name in ("moment_matrices", "determinant", "star"):
-        _counting(monkeypatch, calls, name)
+    for owner, name in (
+        (uncertainty, "moment_matrices"),
+        (uncertainty, "determinant"),
+        (states, "star"),
+        (GaussianState, "star_expectation"),
+    ):
+        _counting(monkeypatch, calls, owner, name)
+    uncertainty.moment_matrices(ground(1), [Q, P])
+    # phi takes n(n+1)/2 pairings and no star product
+    assert calls == {"moment_matrices": 1, "star_expectation": 3}
+    calls.clear()
     checks = check_relations(ground(1), [Q, P])
-    # phi takes n^2 star products; its real part is the covariance part
-    assert calls == {"moment_matrices": 1, "determinant": 3, "star": 4}
+    # the one star product is the Gel'fand norm of the kernel witness
+    assert calls == {"moment_matrices": 1, "determinant": 3, "star_expectation": 3, "star": 1}
     assert [name for name, _ in checks.reports] == ["RS", "HR", "Trace", "TracePairing", "TwoObs"]
     assert all(r.relation is Relation.EQUAL for _, r in checks.reports)
     assert checks.hr_intelligent and checks.rs_intelligent
     assert checks.witness is not None and checks.direction is None
 
 
-def test_a_star_product_off_by_i_fails_the_moment_cross_checks(monkeypatch):
-    orig = uncertainty.star
-    monkeypatch.setattr(uncertainty, "star", lambda f, g: orig(f, g) + constant(1, I_UNIT))
-    with pytest.raises(InternalConsistencyError):
-        uncertainty.moment_matrices(ground(1), [Q, P])
+def test_a_pairing_with_the_sign_of_j_flipped_fails_the_witness_check(monkeypatch):
+    # conj turns cov + (i h/2) J into cov - (i h/2) J; the star-path Gel'fand
+    # norm of the kernel witness then is not zero
+    orig = states._cross_covariance
+    monkeypatch.setattr(
+        states,
+        "_cross_covariance",
+        lambda cov, d: tuple(tuple(x.conj() for x in row) for row in orig(cov, d)),
+    )
+    with pytest.raises(InternalConsistencyError, match="kernel witness must lie in the ideal"):
+        check_relations(ground(1), [Q, P])
 
 
 def test_dependent_observables_give_a_direction():
