@@ -23,9 +23,13 @@ order stays a ``Fraction`` (or ``inf``).  The form is canonical:
 element has ``E = D = 1``.  So equal values have equal fields, and field
 equality and hashing are value equality and hashing.  Operands on
 different grids are rescaled to ``lcm(E1, E2)`` (and, for a sum, to
-``lcm(D1, D2)``).  The layout is private to this module; :attr:`Series.terms`
-gives the ``(exponent, coefficient)`` pairs as ``Fraction`` for printing
-and tests.
+``lcm(D1, D2)``).  The exact zero is the additive identity: a sum with it
+returns the other operand itself, already canonical, which the immutable
+fields make safe to share.  A truncated zero (empty support, finite
+truncation) is not an identity, since it lowers the truncation of the sum,
+so it takes the general path.  The layout is private to this module;
+:attr:`Series.terms` gives the ``(exponent, coefficient)`` pairs as
+``Fraction`` for printing and tests.
 
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
@@ -161,6 +165,11 @@ class Series:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # the exact zero is the additive identity; a truncated zero is not
+        if not other._nums and other.trunc == INF:
+            return self
+        if not self._nums and self.trunc == INF:
+            return other
         trunc = min(self.trunc, other.trunc)
         ea, eb, da, db = self._eden, other._eden, self._cden, other._cden
         e = ea if ea == eb else lcm(ea, eb)

@@ -4,16 +4,22 @@ A state is a normalized linear functional on polynomial observables given
 by a mean vector and a symmetric covariance matrix with series entries.
 The expectation of a monomial comes from one memoized recursion, Isserlis'
 theorem with a mean: E[X_a R] = mu_a E[R] + sum_b cov_ab E[R without X_b],
-so every expectation of a polynomial is an exact series.
+so every expectation of a polynomial is an exact series.  A partner b whose
+entry cov_ab is the exact zero adds nothing and is skipped; the coherent,
+squeezed and product states the relations are checked on have mostly zero
+entries.  A truncated-zero entry is not skipped, since it carries its
+truncation into the sum.
 
 The same recursion gives star moments without a star product:
 ``rho(f * g) = E[f(X) g(Y)]`` for the doubled Gaussian (X, Y) with mean
 (mu, mu), Cov(X, X) = Cov(Y, Y) = cov and cross block
 Cov(X, Y) = cov + (i h/2) J, J = [[0, I], [-I, 0]].  That cross block is
 the matrix of the quantum condition (Simon, Mukunda and Dutta 1994), whose
-non-negativity ``_check_admissibility`` tests; when it fails, the witness
-it returns is re-verified as a linear f with ``rho(conj(f) * f) < 0``
-through ``star``, so the warning names a proof that positivity fails.
+non-negativity ``_check_admissibility`` tests.  The pairing skips exact-zero
+entries of cov and of the cross block as ``_moment`` does.  When the
+admissibility test fails, the witness it returns is re-verified as a linear
+f with ``rho(conj(f) * f) < 0`` through ``star``, so the warning names a
+proof that positivity fails.
 ``gelfand_norm`` keeps the star path and is the independent check of the
 pairing at saturation; tier-1 compares the two on random states.
 """
@@ -156,7 +162,8 @@ class GaussianState:
         return value.re
 
     def _moment(self, idxs: tuple[int, ...]) -> Series:
-        """E[X_a X_b ...] over the sorted index multiset ``idxs``."""
+        """E[X_a X_b ...] over the sorted index multiset ``idxs``; a partner
+        whose covariance entry is the exact zero is skipped."""
         if not idxs:
             return ONE
         cached = self._central_cache.get(idxs)
@@ -165,16 +172,24 @@ class GaussianState:
         first, rest = idxs[0], idxs[1:]
         mu = self.mean[first]
         total = ZERO if mu.is_zero else mu * self._moment(rest)
+        row = self.cov[first]
         for pos, b in enumerate(rest):
             if pos and b == rest[pos - 1]:
                 continue  # identical partners grouped via their multiplicity
+            if row[b].is_zero:
+                continue
             mult = rest.count(b)
-            total = total + mult * self.cov[first][b] * self._moment(rest[:pos] + rest[pos + 1 :])
+            total = total + mult * row[b] * self._moment(rest[:pos] + rest[pos + 1 :])
         self._central_cache[idxs] = total
         return total
 
     def star_expectation(self, f: Observable, g: Observable) -> ComplexSeries:
-        """Exact rho(f * g), read off the doubled Gaussian without forming f * g."""
+        """Exact rho(f * g), read off the doubled Gaussian without forming f * g.
+
+        With f = sum_x c_x X^x and g = sum_y d_y Y^y the value is the factored
+        sum ``sum_x c_x (sum_y d_y E[X^x Y^y])``: one product by c_x per term
+        of f, not one per pair of terms.
+        """
         for x in (f, g):
             if x.d != self.d:
                 raise DimensionMismatch(f"observable d={x.d}, state d={self.d}")
@@ -185,12 +200,16 @@ class GaussianState:
         total = ComplexSeries()
         for mono, coeff in f.terms.items():
             xs = _indices(mono)
+            row = ComplexSeries()
             for ys, coeff2 in right:
-                total = total + coeff * coeff2 * self._pair_moment(xs, ys)
+                row = row + coeff2 * self._pair_moment(xs, ys)
+            total = total + coeff * row
         return total
 
     def _pair_moment(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> ComplexSeries:
-        """E[X_a X_b ... Y_c Y_d ...] over the sorted multisets ``xs``, ``ys``."""
+        """E[X_a X_b ... Y_c Y_d ...] over the sorted multisets ``xs``, ``ys``;
+        a partner whose entry is the exact zero, ``cov[first][b]`` within X
+        and ``cross[b]`` across X and Y, is skipped."""
         if not xs or not ys:
             return ComplexSeries(self._moment(xs or ys))
         key = (xs, ys)
@@ -200,16 +219,19 @@ class GaussianState:
         first, rest = xs[0], xs[1:]
         mu = self.mean[first]
         total = ComplexSeries() if mu.is_zero else mu * self._pair_moment(rest, ys)
+        row = self.cov[first]
         for pos, b in enumerate(rest):
             if pos and b == rest[pos - 1]:
                 continue  # identical partners grouped via their multiplicity
+            if row[b].is_zero:
+                continue
             mult = rest.count(b)
-            total = total + mult * self.cov[first][b] * self._pair_moment(
-                rest[:pos] + rest[pos + 1 :], ys
-            )
+            total = total + mult * row[b] * self._pair_moment(rest[:pos] + rest[pos + 1 :], ys)
         cross = self._cross[first]
         for pos, b in enumerate(ys):
             if pos and b == ys[pos - 1]:
+                continue
+            if cross[b].is_zero:
                 continue
             mult = ys.count(b)
             total = total + mult * cross[b] * self._pair_moment(rest, ys[:pos] + ys[pos + 1 :])

@@ -167,7 +167,8 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
                 raise InternalConsistencyError("singular phi must have a kernel vector")
             witness = basis[0]
             _require_in_ideal(state, mm, witness, "kernel witness must lie in the ideal")
-    basis = kernel(mm.a)
+    # rs.lhs is det a; a nonsingular a has an empty kernel
+    basis = kernel(mm.a) if decide_zero(rs.lhs) else []
     direction = basis[0] if basis else None
     if direction is not None:
         _require_in_ideal(state, mm, direction, "kernel direction of a must lie in the ideal")

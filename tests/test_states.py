@@ -120,6 +120,37 @@ def _rand_state(rng: random.Random, d: int) -> GaussianState:
     return GaussianState(mean, cov)
 
 
+#: the d = 2 product case of the random-state tests
+PRODUCT = "1+1"
+
+
+def _product_state(rng: random.Random) -> GaussianState:
+    """A d = 2 product of two random d = 1 blocks, the first uncorrelated.
+
+    Every cov and cross-block entry between the two modes is the exact zero,
+    and so is cov(q1, p1), while its cross-block entry is i h/2: the Wick
+    recursions must skip the first kind and keep the second.
+    """
+    first, second = _rand_state(rng, 1), _rand_state(rng, 1)
+    blocks = [[[first.cov[0][0], ZERO], [ZERO, first.cov[1][1]]], second.cov]
+    means = [first.mean, second.mean]
+    # order (q1, q2, p1, p2): mode m holds the indices m and m + 2
+    mean = [means[i % 2][i // 2] for i in range(4)]
+    cov = [
+        [blocks[i % 2][i // 2][j // 2] if i % 2 == j % 2 else ZERO for j in range(4)]
+        for i in range(4)
+    ]
+    return GaussianState(mean, cov)
+
+
+def _case(base: int, d, seed: int) -> tuple[random.Random, GaussianState]:
+    """A test case's stream ``base * d + seed`` and its random state:
+    ``_rand_state`` at d, or for d = PRODUCT the product state, which takes
+    the stream of d = 4."""
+    rng = random.Random(base * (4 if d == PRODUCT else d) + seed)
+    return rng, (_product_state(rng) if d == PRODUCT else _rand_state(rng, d))
+
+
 def _oracle_moments(state: GaussianState, degree: int) -> dict:
     """E[X^alpha] for every |alpha| <= degree: the derivative d^alpha of
     exp(mu.t + t^T cov t / 2) at t = 0.  That derivative is P_alpha exp(...)
@@ -145,11 +176,11 @@ def _oracle_moments(state: GaussianState, degree: int) -> dict:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d, degree", [(1, 6), (2, 4)])
+@pytest.mark.parametrize("d, degree", [(1, 6), (2, 4), (PRODUCT, 4)])
 def test_moments_match_the_generating_function(seed, d, degree):
-    state = _rand_state(random.Random(seed), d)
+    _, state = _case(0, d, seed)
     for alpha, want in _oracle_moments(state, degree).items():
-        got = state.expectation(observable(d, {alpha: 1}))
+        got = state.expectation(observable(state.d, {alpha: 1}))
         assert got.im.is_zero, alpha
         assert sp.expand(_sym(got.re) - want) == 0, alpha
 
@@ -196,22 +227,20 @@ def _rand_observable(rng: random.Random, d: int, real: bool):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, PRODUCT])
 def test_the_pairing_equals_the_star_path(seed, d):
-    rng = random.Random(1000 * d + seed)
-    state = _rand_state(rng, d)
-    fs = [_rand_observable(rng, d, real=False) for _ in range(4)]
+    rng, state = _case(1000, d, seed)
+    fs = [_rand_observable(rng, state.d, real=False) for _ in range(4)]
     for f in fs:
         for g in fs:
             assert state.star_expectation(f, g) == state.expectation(star(f, g))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, PRODUCT])
 def test_phi_is_the_star_moment_and_its_imaginary_part_the_bracket(seed, d):
-    rng = random.Random(2000 * d + seed)
-    state = _rand_state(rng, d)
-    xs = [_rand_observable(rng, d, real=True) for _ in range(3)]
+    rng, state = _case(2000, d, seed)
+    xs = [_rand_observable(rng, state.d, real=True) for _ in range(3)]
     mm = moment_matrices(state, xs)
     for j, dj in enumerate(mm.devs):
         for k, dk in enumerate(mm.devs):

@@ -9,6 +9,7 @@ from dq import states, uncertainty
 from dq.errors import InternalConsistencyError
 from dq.linalg import Relation
 from dq.observables import coordinate
+from dq.series import HBAR
 from dq.states import GaussianState, ground, squeezed
 from dq.uncertainty import check_annihilating_transform, check_relations
 
@@ -30,6 +31,7 @@ def test_two_observables_share_one_moment_computation(monkeypatch):
     for owner, name in (
         (uncertainty, "moment_matrices"),
         (uncertainty, "determinant"),
+        (uncertainty, "kernel"),
         (states, "star"),
         (GaussianState, "star_expectation"),
     ):
@@ -39,12 +41,25 @@ def test_two_observables_share_one_moment_computation(monkeypatch):
     assert calls == {"moment_matrices": 1, "star_expectation": 3}
     calls.clear()
     checks = check_relations(ground(1), [Q, P])
-    # the one star product is the Gel'fand norm of the kernel witness
-    assert calls == {"moment_matrices": 1, "determinant": 3, "star_expectation": 3, "star": 1}
+    # the one star product is the Gel'fand norm of the kernel witness; det a
+    # is not zero, so a has no kernel to compute
+    assert calls == {
+        "moment_matrices": 1,
+        "determinant": 3,
+        "kernel": 1,
+        "star_expectation": 3,
+        "star": 1,
+    }
     assert [name for name, _ in checks.reports] == ["RS", "HR", "Trace", "TracePairing", "TwoObs"]
     assert all(r.relation is Relation.EQUAL for _, r in checks.reports)
     assert checks.hr_intelligent and checks.rs_intelligent
     assert checks.witness is not None and checks.direction is None
+    calls.clear()
+    # cov = h I: neither phi nor a is singular, so no kernel is computed
+    thermal = GaussianState([0, 0], [[HBAR, 0], [0, HBAR]])
+    checks = check_relations(thermal, [Q, P])
+    assert calls["kernel"] == 0
+    assert checks.witness is None and checks.direction is None
 
 
 def test_a_pairing_with_the_sign_of_j_flipped_fails_the_witness_check(monkeypatch):
