@@ -12,7 +12,8 @@ their pivot choice.  Intermediate entries are minors of the input, so for
 exact entries every division is exact, nothing is truncated, and an exactly
 singular matrix yields an exact zero.  Hermitian congruence reduction
 returns ``D`` with ``D^H S D`` diagonal; the inertia read off that diagonal
-classifies hermitian forms without leaving the field.
+classifies hermitian forms without leaving the field.  The inertia test
+builds ``D`` only for an indefinite form, whose witness is a column of it.
 
 The check_* functions turn the determinant inequalities satisfied by
 non-negative definite hermitian forms over any ordered field (det of the
@@ -180,16 +181,24 @@ def congruence_diagonalize(matrix):
     whole remaining diagonal vanishes, by the fold v = e_l + S[m][l] e_m
     of a nonzero off-diagonal entry, whose value is 2 |S[l][m]|^2.
     """
+    dt, diag = _congruence(matrix, True)
+    return tuple(zip(*dt)), diag
+
+
+def _congruence(matrix, with_d: bool):
+    """The reduction of :func:`congruence_diagonalize`: (columns of D, diag),
+    with D built and updated only when ``with_d`` is true (else None)."""
     n = _require_square(matrix)
     a = [list(row) for row in matrix]
     zero, one = _units_like(a[0][0])
-    dt = [[one if i == j else zero for j in range(n)] for i in range(n)]  # columns of D
+    dt = [[one if i == j else zero for j in range(n)] for i in range(n)] if with_d else None
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
         for row in a:
             row[i], row[j] = row[j], row[i]
-        dt[i], dt[j] = dt[j], dt[i]
+        if dt:
+            dt[i], dt[j] = dt[j], dt[i]
 
     prev = one
     diag = [zero] * n
@@ -208,15 +217,17 @@ def congruence_diagonalize(matrix):
                 a[l] = [x + t * y for x, y in zip(a[l], a[m])]
                 for row in a:
                     row[l] = row[l] + s * row[m]
-                dt[l] = [x + s * y for x, y in zip(dt[l], dt[m])]
+                if dt:
+                    dt[l] = [x + s * y for x, y in zip(dt[l], dt[m])]
                 if l != k:
                     swap(k, l)
         pivot = a[k][k]
         diag[k] = prev * pivot
-        _bareiss_step(dt, k, 0, pivot, a[k][k + 1 :], prev)
+        if dt:
+            _bareiss_step(dt, k, 0, pivot, a[k][k + 1 :], prev)
         _bareiss_step(a, k, k + 1, pivot, [a[j][k] for j in range(k + 1, n)], prev)
         prev = pivot
-    return tuple(zip(*dt)), tuple(diag)
+    return dt, tuple(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +301,19 @@ class Definiteness(Enum):
 def is_nonneg_definite(form: HermitianForm):
     """Classify the form; returns (Definiteness, witness-or-None).
 
-    The witness v satisfies form(v, v) < 0: it is the column of the
-    congruence transform that exposes a negative diagonal entry.
+    The inertia is read off the diagonal of the congruence reduction, run
+    without the transform D.  Only an indefinite form pays for D: the
+    witness v, with form(v, v) < 0, is the column of D (from
+    :func:`congruence_diagonalize`) at the first negative diagonal entry.
     """
-    d, diag = congruence_diagonalize(form.entries)
+    _, diag = _congruence(form.entries, False)
     seen_zero = False
     for j, entry in enumerate(diag):
         if not decide_zero(entry.im):
             raise InternalConsistencyError("hermitian congruence gave a non-real diagonal")
         s = decide_sign(entry.re)
         if s is Sign.NEGATIVE:
-            witness = tuple(row[j] for row in d)
+            witness = tuple(row[j] for row in congruence_diagonalize(form.entries)[0])
             value = hermitian_quadratic(form, witness)
             if not decide_zero(value.im) or decide_sign(value.re) is not Sign.NEGATIVE:
                 raise InternalConsistencyError(

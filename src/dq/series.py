@@ -27,7 +27,8 @@ different grids are rescaled to ``lcm(E1, E2)`` (and, for a sum, to
 returns the other operand itself, already canonical, which the immutable
 fields make safe to share.  A truncated zero (empty support, finite
 truncation) is not an identity, since it lowers the truncation of the sum,
-so it takes the general path.  The layout is private to this module;
+so it takes the general path; a product with the exact zero is the exact
+zero, whatever the other factor.  The layout is private to this module;
 :attr:`Series.terms` gives the ``(exponent, coefficient)`` pairs as
 ``Fraction`` for printing and tests.
 
@@ -204,9 +205,12 @@ class Series:
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
             return NotImplemented
-        trunc = _product_trunc(self, other)
         if not self._nums or not other._nums:
-            return _zero(trunc)
+            # the exact zero times anything, a truncated element too, is the exact zero
+            if self.trunc == INF and not self._nums or other.trunc == INF and not other._nums:
+                return ZERO
+            return _zero(_product_trunc(self, other))
+        trunc = _product_trunc(self, other)
         ea, eb = self._eden, other._eden
         e = ea if ea == eb else lcm(ea, eb)
         ka = _scaled(self._exps, e // ea)
@@ -588,9 +592,14 @@ def metric(a: Series, b: Series) -> float:
 def exact_div(a: Series, b: Series) -> Series:
     """Exact quotient of exact series; raises InexactDivision otherwise.
 
-    Long division from the low end.  The quotient's top exponent cannot
-    exceed ``deg(a) - deg(b)`` (top terms of a product never cancel), which
-    bounds the loop and detects inexactness early.
+    Integer pseudo-division from the low end on the common exponent grid.
+    The remainder is a dict of integer numerators standing for
+    ``remainder / s``.  Only when b's leading numerator b0 does not divide
+    the leading remainder numerator r are both scaled by
+    ``|b0| / gcd(r, b0)``; each quotient numerator keeps the s it was taken
+    at and is brought to the final s once, at the end.  The quotient's top
+    exponent cannot exceed ``deg(a) - deg(b)`` (top terms of a product never
+    cancel), which bounds the loop and detects inexactness early.
     """
     if a.trunc != INF or b.trunc != INF:
         raise InexactDivision("exact_div needs exact operands")
@@ -598,19 +607,34 @@ def exact_div(a: Series, b: Series) -> Series:
         raise ZeroDivisionError("series division by exact zero")
     if not a._nums:
         return ZERO
-    top = Fraction(a._exps[-1], a._eden) - Fraction(b._exps[-1], b._eden)
-    g0, c0 = b._lead()
-    out: list[tuple[Fraction, Fraction]] = []
-    rem = a
-    while rem._nums:
-        e0, r0 = rem._lead()
-        e = e0 - g0
-        if e > top:
+    e = lcm(a._eden, b._eden)
+    ka, kb = _scaled(a._exps, e // a._eden), _scaled(b._exps, e // b._eden)
+    top = ka[-1] - kb[-1]
+    b0 = b._nums[0]
+    tail = list(zip(kb[1:], b._nums[1:]))
+    rem = dict(zip(ka, a._nums))
+    scale = 1
+    out: list[tuple[int, int, int]] = []  # (exponent, numerator, its scale)
+    while rem:
+        k0 = min(rem)
+        r = rem.pop(k0)
+        if not r:
+            continue  # a cancelled term
+        k = k0 - kb[0]
+        if k > top:
             raise InexactDivision(f"{a!r} is not divisible by {b!r}")
-        c = r0 / c0
-        out.append((e, c))
-        rem = rem - _monomial(e, c) * b
-    return series(out)
+        if r % b0:
+            m = abs(b0) // gcd(r, b0)
+            scale *= m
+            r *= m
+            rem = {x: n * m for x, n in rem.items()}
+        c = r // b0
+        out.append((k, c, scale))
+        for x, n in tail:
+            rem[x + k] = rem.get(x + k, 0) - c * n
+    # a / b = (A / B) (D_b / D_a) for the integer numerators A and B
+    nums = [c * (scale // s) * b._cden for _, c, s in out]
+    return _canonical(e, [k for k, _, _ in out], nums, scale * a._cden, INF)
 
 
 def agree_mod_trunc(a: Series, b: Series) -> bool:

@@ -40,7 +40,7 @@ from .errors import (
 from .linalg import (
     Definiteness,
     InequalityReport,
-    congruence_diagonalize,
+    _congruence,
     hermitian_form,
     is_nonneg_definite,
     relation_of,
@@ -116,7 +116,7 @@ class GaussianState:
         if cls is not Definiteness.INDEFINITE:
             return
         # classical requirement: the covariance is non-negative definite
-        _, diag = congruence_diagonalize(self.cov)
+        _, diag = _congruence(self.cov, False)
         for entry in diag:
             if decide_sign(entry) is Sign.NEGATIVE:
                 raise ValueError("covariance matrix is not non-negative definite")

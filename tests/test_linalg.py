@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
+import dq.linalg
 from dq.errors import (
     DimensionTooSmall,
     HermitianViolation,
@@ -235,6 +236,35 @@ class TestDefiniteness:
         value = hermitian_quadratic(form, witness)
         assert value.re.sign() is Sign.NEGATIVE and not value.im.terms
         assert self.grid_classify(form) is Definiteness.INDEFINITE
+
+    def test_classifies_without_the_transform(self, monkeypatch):
+        # the inertia of a non-negative form is read without building D
+        def refuse(matrix):
+            raise AssertionError("congruence transform built for a non-negative form")
+
+        monkeypatch.setattr(dq.linalg, "congruence_diagonalize", refuse)
+        pd = hermitian_form([[1, I1], [-I1, 2]])
+        singular = hermitian_form([[1, I1, ZERO], [-I1, 1, ZERO], [ZERO, ZERO, HBAR]])
+        assert is_nonneg_definite(pd) == (Definiteness.POSITIVE_DEFINITE, None)
+        assert is_nonneg_definite(singular) == (Definiteness.NONNEG_DEFINITE, None)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_witness_is_the_transform_column(self, seed):
+        # the witness is column j of D, j the first negative entry of diag
+        rng = random.Random(seed)
+        indefinite = 0
+        for trial in range(9):
+            n = 2 + trial % 3
+            m = rand_matrix(rng, n, n, complex_entries=True)
+            form = hermitian_form([[m[j][k] + m[k][j].conj() for k in range(n)] for j in range(n)])
+            cls, witness = is_nonneg_definite(form)
+            if cls is not Definiteness.INDEFINITE:
+                continue
+            indefinite += 1
+            d, diag = congruence_diagonalize(form.entries)
+            j = next(i for i, x in enumerate(diag) if x.re.sign() is Sign.NEGATIVE)
+            assert witness == tuple(row[j] for row in d)
+        assert indefinite >= 3
 
     def test_gram_forms_never_indefinite(self):
         rng = random.Random(5)

@@ -104,12 +104,32 @@ def test_add_and_mul(seed):
         assert _agrees(a - b, _sym(a) - _sym(b))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_exact_div(seed):
+def _div_pairs(seed):
+    """(numerator, divisor) pairs: a product or a sum of two drawn operands;
+    products by a divisor whose integer numerators share a factor 2 to 6,
+    so its lowest numerator is not +-1 and the pseudo-division rescales;
+    products with six to eight terms in the quotient; and the step-2 Bareiss
+    minor of a symmetric 3 x 3 series form over its first pivot."""
     rng = random.Random(seed)
     for trial in range(TRIALS):
         a, b = _operand(rng, False), _operand(rng, False)
-        num = a * b if trial % 2 else a + b  # a sum is rarely divisible by b
+        yield (a * b if trial % 2 else a + b), b
+    grid = [F(k, 6) for k in range(-6, 13)]
+    for _ in range(TRIALS // 4):
+        b = series((e, rng.randint(2, 6) * rng.choice([-1, 1])) for e in rng.sample(grid, 2))
+        b = b * rng.randint(2, 6)
+        yield _operand(rng, False) * b, b
+        a = series((e, _coeff(rng)) for e in rng.sample(grid, rng.randint(6, 8)))
+        yield a * b, b
+        m = [[_operand(rng, False) for _ in range(3)] for _ in range(3)]
+        m = [[m[min(j, k)][max(j, k)] for k in range(3)] for j in range(3)]
+        m1 = [[m[0][0] * m[j][c] - m[j][0] * m[0][c] for c in (1, 2)] for j in (1, 2)]
+        yield m1[0][0] * m1[1][1] - m1[1][0] * m1[0][1], m[0][0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_div(seed):
+    for num, b in _div_pairs(seed):
         quotient = sp.cancel(_sym(num) / _sym(b))
         if len(sp.Poly(sp.fraction(quotient)[1], T).terms()) == 1:  # a Laurent polynomial
             q = exact_div(num, b)
