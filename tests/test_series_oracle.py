@@ -107,13 +107,13 @@ def test_add_and_mul(seed):
 def _div_pairs(seed):
     """(numerator, divisor) pairs: a product or a sum of two drawn operands;
     products by a divisor whose integer numerators share a factor 2 to 6,
-    so its lowest numerator is not +-1 and the pseudo-division rescales;
+    so its lowest numerator is not +-1 and about half of them rescale;
     products with six to eight terms in the quotient; and the step-2 Bareiss
     minor of a symmetric 3 x 3 series form over its first pivot."""
     rng = random.Random(seed)
     for trial in range(TRIALS):
         a, b = _operand(rng, False), _operand(rng, False)
-        yield (a * b if trial % 2 else a + b), b
+        yield (a * b if trial % 2 else a + b), b  # a sum is rarely divisible by b
     grid = [F(k, 6) for k in range(-6, 13)]
     for _ in range(TRIALS // 4):
         b = series((e, rng.randint(2, 6) * rng.choice([-1, 1])) for e in rng.sample(grid, 2))
