@@ -353,7 +353,7 @@ def trial_hadamard(rng: random.Random, t: int, dims):
     if not chain.skew_equality_ok:
         yield f"{ctx} skew equality diagnosis failed"
     if n == 2:
-        det_phi_zero = decide_zero(determinant(form.entries))
+        det_phi_zero = decide_zero(chain.cov_vs_form.rhs)
         skew_equal = chain.cov_vs_skew.relation is Relation.EQUAL
         if det_phi_zero != skew_equal:
             yield f"{ctx} n=2 biconditional failed"

@@ -2,26 +2,25 @@
 
 A state is a normalized linear functional on polynomial observables given
 by a mean vector and a symmetric covariance matrix with series entries.
-The expectation of a monomial comes from one memoized recursion, Isserlis'
-theorem with a mean: E[X_a R] = mu_a E[R] + sum_b cov_ab E[R without X_b],
-so every expectation of a polynomial is an exact series.  A partner b whose
-entry cov_ab is the exact zero adds nothing and is skipped; the coherent,
-squeezed and product states the relations are checked on have mostly zero
-entries.  A truncated-zero entry is not skipped, since it carries its
-truncation into the sum.
+Every expectation comes from one memoized recursion, Isserlis' theorem
+with a mean: E[Z_a R] = mu_a E[R] + sum_b Sigma_ab E[R without Z_b], so
+every expectation of a polynomial is an exact series.  It runs over the
+doubled Gaussian Z = (X, Y) with mean (mu, mu), Cov(X, X) = Cov(Y, Y) = cov
+and cross block Cov(X, Y) = cov + (i h/2) J, J = [[0, I], [-I, 0]].  A
+plain moment is a moment of X alone, and a star moment is a mixed one:
+``rho(f * g) = E[f(X) g(Y)]``, read without a star product.  The cross
+block is the matrix of the quantum condition (Simon, Mukunda and Dutta
+1994), whose non-negativity ``_check_admissibility`` tests.
 
-The same recursion gives star moments without a star product:
-``rho(f * g) = E[f(X) g(Y)]`` for the doubled Gaussian (X, Y) with mean
-(mu, mu), Cov(X, X) = Cov(Y, Y) = cov and cross block
-Cov(X, Y) = cov + (i h/2) J, J = [[0, I], [-I, 0]].  That cross block is
-the matrix of the quantum condition (Simon, Mukunda and Dutta 1994), whose
-non-negativity ``_check_admissibility`` tests.  The pairing skips exact-zero
-entries of cov and of the cross block as ``_moment`` does.  When the
-admissibility test fails, the witness it returns is re-verified as a linear
-f with ``rho(conj(f) * f) < 0`` through ``star``, so the warning names a
-proof that positivity fails.
-``gelfand_norm`` keeps the star path and is the independent check of the
-pairing at saturation; tier-1 compares the two on random states.
+A partner b whose entry Sigma_ab is the exact zero adds nothing and is
+skipped; the coherent, squeezed and product states the relations are
+checked on have mostly zero entries.  A truncated-zero entry is not
+skipped, since it carries its truncation into the sum.  When the
+admissibility test fails, the witness it returns is re-verified as a
+linear f with ``rho(conj(f) * f) < 0`` through ``star``, so the warning
+names a proof that positivity fails.  ``gelfand_norm`` keeps the star path
+and is the independent check of the pairing at saturation; tier-1 compares
+the two on random states.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def _indices(mono) -> tuple[int, ...]:
 class GaussianState:
     """Mean vector (q1..qd, p1..pd) plus symmetric covariance matrix."""
 
-    __slots__ = ("d", "mean", "cov", "_cross", "_central_cache", "_pair_cache")
+    __slots__ = ("d", "mean", "cov", "_rows", "_central_cache")
 
     def __init__(self, mean, cov):
         mean = tuple(as_series(x) for x in mean)
@@ -102,17 +101,17 @@ class GaussianState:
         self.d = d
         self.mean = mean
         self.cov = cov
-        self._cross = _cross_covariance(cov, d)
+        cross = _cross_covariance(cov, d)
+        # row j of the doubled Gaussian's covariance: Cov(X_j, X), Cov(X_j, Y)
+        self._rows = tuple(cov[j] + cross[j] for j in range(n))
         # moments by index multiset; perfbench/tracer.py reads it by this name
-        self._central_cache: dict[tuple[int, ...], Series] = {}
-        # mixed moments of the doubled Gaussian by (X multiset, Y multiset)
-        self._pair_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], ComplexSeries] = {}
-        self._check_admissibility()
+        self._central_cache: dict[tuple[int, ...], Series | ComplexSeries] = {}
+        self._check_admissibility(cross)
 
-    def _check_admissibility(self):
+    def _check_admissibility(self, cross):
         # quantum condition for every d: cov + (i h/2) J is non-negative
         # definite (Simon, Mukunda and Dutta 1994)
-        cls, v = is_nonneg_definite(hermitian_form(self._cross))
+        cls, v = is_nonneg_definite(hermitian_form(cross))
         if cls is not Definiteness.INDEFINITE:
             return
         # classical requirement: the covariance is non-negative definite
@@ -161,18 +160,28 @@ class GaussianState:
             raise InternalConsistencyError(f"{what} has imaginary part {value.im}")
         return value.re
 
-    def _moment(self, idxs: tuple[int, ...]) -> Series:
-        """E[X_a X_b ...] over the sorted index multiset ``idxs``; a partner
-        whose covariance entry is the exact zero is skipped."""
+    def _moment(self, idxs: tuple[int, ...]) -> Series | ComplexSeries:
+        """E[Z_a Z_b ...] of the doubled Gaussian over the sorted index
+        multiset ``idxs``: index j < 2d is X_j and 2d + j is Y_j.
+
+        A moment of X alone is real.  A moment of Y alone is the same moment
+        of X, looked up under the X indices.  Otherwise the first index is an
+        X index, and its partners come in the sorted order of ``idxs``: the
+        X partners through cov, then the Y partners through the cross block.
+        A partner whose entry is the exact zero is skipped.
+        """
         if not idxs:
             return ONE
+        n = 2 * self.d
+        if idxs[0] >= n:
+            return self._moment(tuple(i - n for i in idxs))
         cached = self._central_cache.get(idxs)
         if cached is not None:
             return cached
         first, rest = idxs[0], idxs[1:]
         mu = self.mean[first]
         total = ZERO if mu.is_zero else mu * self._moment(rest)
-        row = self.cov[first]
+        row = self._rows[first]
         for pos, b in enumerate(rest):
             if pos and b == rest[pos - 1]:
                 continue  # identical partners grouped via their multiplicity
@@ -196,46 +205,15 @@ class GaussianState:
         degree = f.degree + g.degree
         if degree > MOMENT_CAP:
             raise MomentDegreeExceeded(f"moment of degree {degree} exceeds cap {MOMENT_CAP}")
-        right = [(_indices(mono), coeff) for mono, coeff in g.terms.items()]
+        n = 2 * self.d
+        right = [(tuple(n + i for i in _indices(mono)), coeff) for mono, coeff in g.terms.items()]
         total = ComplexSeries()
         for mono, coeff in f.terms.items():
             xs = _indices(mono)
             row = ComplexSeries()
             for ys, coeff2 in right:
-                row = row + coeff2 * self._pair_moment(xs, ys)
+                row = row + coeff2 * self._moment(xs + ys)
             total = total + coeff * row
-        return total
-
-    def _pair_moment(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> ComplexSeries:
-        """E[X_a X_b ... Y_c Y_d ...] over the sorted multisets ``xs``, ``ys``;
-        a partner whose entry is the exact zero, ``cov[first][b]`` within X
-        and ``cross[b]`` across X and Y, is skipped."""
-        if not xs or not ys:
-            return ComplexSeries(self._moment(xs or ys))
-        key = (xs, ys)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        first, rest = xs[0], xs[1:]
-        mu = self.mean[first]
-        total = ComplexSeries() if mu.is_zero else mu * self._pair_moment(rest, ys)
-        row = self.cov[first]
-        for pos, b in enumerate(rest):
-            if pos and b == rest[pos - 1]:
-                continue  # identical partners grouped via their multiplicity
-            if row[b].is_zero:
-                continue
-            mult = rest.count(b)
-            total = total + mult * row[b] * self._pair_moment(rest[:pos] + rest[pos + 1 :], ys)
-        cross = self._cross[first]
-        for pos, b in enumerate(ys):
-            if pos and b == ys[pos - 1]:
-                continue
-            if cross[b].is_zero:
-                continue
-            mult = ys.count(b)
-            total = total + mult * cross[b] * self._pair_moment(rest, ys[:pos] + ys[pos + 1 :])
-        self._pair_cache[key] = total
         return total
 
     def __repr__(self) -> str:

@@ -42,6 +42,7 @@ from .linalg import (
     is_nonneg_definite,
     kernel,
     relation_of,
+    split,
     trace_bounds,
 )
 from .observables import Observable, require_real
@@ -104,14 +105,9 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
             phi[j][k] = phi[k][j].conj()
         for k in range(j, n):
             phi[j][k] = state.star_expectation(devs[j], devs[k])
-    a = tuple(tuple(x.re for x in row) for row in phi)
-    return MomentMatrices(
-        phi=hermitian_form(phi),
-        a=a,
-        b=tuple(tuple(x.im for x in row) for row in phi),
-        variances=tuple(a[j][j] for j in range(n)),
-        devs=tuple(devs),
-    )
+    form = hermitian_form(phi)
+    a, b = split(form)
+    return MomentMatrices(form, a, b, tuple(a[j][j] for j in range(n)), tuple(devs))
 
 
 def _rs_report(mm: MomentMatrices) -> InequalityReport:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from dq import states, uncertainty
-from dq.errors import InternalConsistencyError
+from dq.errors import DimensionTooSmall, InternalConsistencyError, SingularTransform
 from dq.linalg import Relation
 from dq.observables import coordinate
 from dq.series import HBAR
@@ -83,7 +83,27 @@ def test_dependent_observables_give_a_direction():
     assert checks.witness is None
 
 
-def test_annihilated_ladder_saturates_rs():
-    res = check_annihilating_transform(squeezed(4), [Q, P], [[F(5, 4)]], [[F(-3, 4)]])
+def _scalar_block(m, x):
+    return [[x if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["m1", "m2"])
+def test_annihilated_ladder_saturates_rs(m):
+    # squeezed(4) per mode is annihilated by (5/4) a + (-3/4) conj(a) for its
+    # ladder a = (dq + i dp)/2, so each transformed ladder has norm 0
+    xs = [coordinate(m, "q", j) for j in range(1, m + 1)]
+    xs += [coordinate(m, "p", j) for j in range(1, m + 1)]
+    u, v = _scalar_block(m, F(5, 4)), _scalar_block(m, F(-3, 4))
+    res = check_annihilating_transform(squeezed(4, m), xs, u, v)
+    assert len(res.norms) == m and all(norm.is_zero for norm in res.norms)
     assert res.all_in_ideal
     assert res.rs.relation is Relation.EQUAL
+
+
+def test_annihilating_transform_guards():
+    with pytest.raises(DimensionTooSmall, match="even number"):
+        check_annihilating_transform(squeezed(4), [Q, P, Q + P], [[1]], [[0]])
+    with pytest.raises(SingularTransform, match="singular"):
+        check_annihilating_transform(squeezed(4), [Q, P], [[1]], [[1]])
+    with pytest.raises(ValueError, match="must be 1x1"):
+        check_annihilating_transform(squeezed(4), [Q, P], [[1, 0]], [[0]])
