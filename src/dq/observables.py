@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DimensionMismatch, NotReal
-from .series import ComplexSeries, ZERO, _ccoerce, as_complex, decide_zero, series
+from .series import C_ONE, ComplexSeries, ZERO, _ccoerce, as_complex, decide_zero, series
 
 #: q-exponents for dof 1..d, then p-exponents for dof 1..d
 Monomial = tuple[int, ...]
@@ -109,9 +109,11 @@ class Observable:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = constant(self.d, ComplexSeries(series([(0, 1)])))
-        for _ in range(k):
-            out = out * self
+        out = self if k else constant(self.d, C_ONE)
+        for bit in bin(k)[3:]:  # square and multiply below the top bit
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def diff(self, kind: str, index: int) -> "Observable":
@@ -231,7 +233,7 @@ def coordinate(d: int, kind: str, index: int) -> Observable:
         raise ValueError(f"no coordinate {kind}{index} for d={d}")
     slot = (index - 1) + (d if kind == "p" else 0)
     mono = tuple(1 if i == slot else 0 for i in range(2 * d))
-    return Observable(d, {mono: ComplexSeries(series([(0, 1)]))})
+    return Observable(d, {mono: C_ONE})
 
 
 def poisson(f: Observable, g: Observable) -> Observable:

@@ -27,20 +27,19 @@ offending position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExprSyntaxError, IndexOutOfRange
 from .observables import Observable, constant, coordinate
-from .series import ComplexSeries, I_UNIT, Series, series
+from .series import ComplexSeries, HBAR, I_UNIT, Series, series
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<qp>[qp]\d+)|(?P<name>[hi])|(?P<op>[-+*/^()]))"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | qp | name | op | end
     text: str
     pos: int
@@ -57,11 +56,8 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", text, at)
-        for kind in ("num", "qp", "name", "op"):
-            got = m.group(kind)
-            if got is not None:
-                tokens.append(_Token(kind, got, m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
@@ -185,12 +181,12 @@ def _parse_atom(c: _Cursor, d: int) -> Observable:
         c.advance()
         if tok.text == "i":
             return constant(d, I_UNIT)
-        return constant(d, ComplexSeries(series([(1, 1)])))
+        return constant(d, ComplexSeries(HBAR))
     if tok.kind == "op" and tok.text == "-" and c.tokens[c.i + 1].kind != "num":
         c.advance()
         return -_parse_pow(c, d)
     if tok.kind == "num" or (tok.kind == "op" and tok.text == "-"):
-        return constant(d, ComplexSeries(series([(0, _parse_rational(c))])))
+        return constant(d, _parse_rational(c))
     if c.accept("("):  # a group; (3/2) is the rational 3/2 in one
         inner = _parse_sum(c, d)
         if not c.accept(")"):

@@ -28,9 +28,11 @@ returns the other operand itself, already canonical, which the immutable
 fields make safe to share.  A truncated zero (empty support, finite
 truncation) is not an identity, since it lowers the truncation of the sum,
 so it takes the general path; a product with the exact zero is the exact
-zero, whatever the other factor.  The layout is private to this module;
-:attr:`Series.terms` gives the ``(exponent, coefficient)`` pairs as
-``Fraction`` for printing and tests.
+zero, whatever the other factor.  Every product by an exact monomial or an
+``int``/``Fraction`` constant, on either side, is one shift and rescale in
+``Series._monomial_mul``; only the other products reach the general loop.
+The layout is private to this module; :attr:`Series.terms` gives the
+``(exponent, coefficient)`` pairs as ``Fraction`` for printing and tests.
 
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
@@ -203,13 +205,17 @@ class Series:
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
             if isinstance(other, (int, Fraction)):
-                return self._scale(other)
+                return self._monomial_mul(0, 1, other.numerator, other.denominator)
             return NotImplemented
         if not self._nums or not other._nums:
             # the exact zero times anything, a truncated element too, is the exact zero
             if self.trunc == INF and not self._nums or other.trunc == INF and not other._nums:
                 return ZERO
             return _zero(_product_trunc(self, other))
+        if len(other._nums) == 1 and other.trunc == INF:
+            return self._monomial_mul(other._exps[0], other._eden, other._nums[0], other._cden)
+        if len(self._nums) == 1 and self.trunc == INF:
+            return other._monomial_mul(self._exps[0], self._eden, self._nums[0], self._cden)
         trunc = _product_trunc(self, other)
         ea, eb = self._eden, other._eden
         e = ea if ea == eb else lcm(ea, eb)
@@ -230,24 +236,21 @@ class Series:
 
     __rmul__ = __mul__
 
-    def _scale(self, q: Rational) -> "Series":
-        """Product with the exact constant q, without building a series for it."""
-        if not q:
-            return ZERO
-        n = q.numerator
-        return _canonical(
-            self._eden, self._exps, [x * n for x in self._nums], self._cden * q.denominator, self.trunc
-        )
-
     def _monomial_mul(self, k: int, eden: int, num: int, cden: int) -> "Series":
-        """Product with the exact monomial ``(num / cden) h^(k / eden)``."""
-        trunc = self.trunc
-        if trunc != INF:
-            trunc = trunc + Fraction(k, eden)
+        """Product with the exact monomial ``(num / cden) h^(k / eden)``,
+        ``cden > 0``: the one path of ``*`` by an exact monomial or a constant
+        (``k`` 0, ``eden`` 1, exponents and truncation kept), and of ``/`` by
+        an exact monomial."""
+        if not num:
+            return ZERO
+        nums = [x * num for x in self._nums]
+        if not k:
+            return _canonical(self._eden, self._exps, nums, self._cden * cden, self.trunc)
+        trunc = self.trunc if self.trunc == INF else self.trunc + Fraction(k, eden)
         e = self._eden if self._eden == eden else lcm(self._eden, eden)
         shift = k * (e // eden)
         exps = [x + shift for x in _scaled(self._exps, e // self._eden)]
-        return _canonical(e, exps, [x * num for x in self._nums], self._cden * cden, trunc)
+        return _canonical(e, exps, nums, self._cden * cden, trunc)
 
     def __truediv__(self, other) -> "Series":
         other = _coerce(other)
@@ -381,11 +384,6 @@ class Series:
             return self
         n = bisect_left(self._exps, _cut(trunc, self._eden))
         return _canonical(self._eden, self._exps[:n], self._nums[:n], self._cden, trunc)
-
-    def shift(self, exponent: Rational) -> "Series":
-        """Multiply by the exact monomial h^exponent."""
-        exponent = Fraction(exponent)
-        return self._monomial_mul(exponent.numerator, exponent.denominator, 1, 1)
 
     # -- printing ----------------------------------------------------------
 

@@ -145,12 +145,10 @@ class GaussianState:
             raise DimensionMismatch(f"observable d={f.d}, state d={self.d}")
         total = ComplexSeries()
         for mono, coeff in f.terms.items():
-            idxs = _indices(mono)
-            if len(idxs) > MOMENT_CAP:
-                raise MomentDegreeExceeded(
-                    f"moment of degree {len(idxs)} exceeds cap {MOMENT_CAP}"
-                )
-            total = total + coeff * self._moment(idxs)
+            degree = sum(mono)
+            if degree > MOMENT_CAP:
+                raise MomentDegreeExceeded(f"moment of degree {degree} exceeds cap {MOMENT_CAP}")
+            total = total + coeff * self._moment(_indices(mono))
         return total
 
     def expect_real(self, f: Observable, what: str = "expectation") -> Series:
@@ -164,8 +162,9 @@ class GaussianState:
         """E[Z_a Z_b ...] of the doubled Gaussian over the sorted index
         multiset ``idxs``: index j < 2d is X_j and 2d + j is Y_j.
 
-        A moment of X alone is real.  A moment of Y alone is the same moment
-        of X, looked up under the X indices.  Otherwise the first index is an
+        A moment of X alone is real, and a mixed one is complex from the
+        start of its sum.  A moment of Y alone is the same moment of X,
+        looked up under the X indices.  Otherwise the first index is an
         X index, and its partners come in the sorted order of ``idxs``: the
         X partners through cov, then the Y partners through the cross block.
         A partner whose entry is the exact zero is skipped.
@@ -181,6 +180,8 @@ class GaussianState:
         first, rest = idxs[0], idxs[1:]
         mu = self.mean[first]
         total = ZERO if mu.is_zero else mu * self._moment(rest)
+        if idxs[-1] >= n and type(total) is Series:
+            total = ComplexSeries(total)
         row = self._rows[first]
         for pos, b in enumerate(rest):
             if pos and b == rest[pos - 1]:

@@ -191,6 +191,14 @@ def test_moment_above_the_cap_is_an_error(workdir):
     assert "moment of degree 14 exceeds cap 12" in err
 
 
+def test_huge_power_is_refused_at_the_cap(workdir):
+    # square and multiply builds q1^(10^9) in 30 squarings, and the cap is
+    # checked on the degree before any index tuple is built
+    code, err = _main_err(["check", "--state", "ground", "--obs=q1^1000000000", "--obs=p1"])
+    assert code == cli.EXIT_USAGE
+    assert "moment of degree 1000000000 exceeds cap 12" in err
+
+
 def test_squeezed_state_takes_the_dimension_of_the_observables(workdir):
     code, _ = _main(["check", "--state", "squeezed:2", "--obs=q1", "--obs=q2"])
     assert code == cli.EXIT_OK

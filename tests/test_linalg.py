@@ -166,6 +166,13 @@ class TestCongruence:
         assert d == tuple(map(tuple, rationals([[1, -1], [1, 1]])))
         dt_s_d = mat_mul(transpose(d), mat_mul(s, [list(r) for r in d]))
         assert dt_s_d == rationals([[2, 0], [0, -2]])
+        # the folded pair (1, 2) starts past k = 0 and is swapped into place
+        s = rationals([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        d, diag = congruence_diagonalize(s)
+        assert diag == (rational(2), rational(-2), ZERO)
+        dt_s_d = mat_mul(transpose(d), mat_mul(s, [list(r) for r in d]))
+        assert dt_s_d == rationals([[2, 0, 0], [0, -2, 0], [0, 0, 0]])
+        assert is_nonneg_definite(hermitian_form(s))[0] is Definiteness.INDEFINITE
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_postcondition_random(self, seed):
@@ -510,6 +517,15 @@ class TestSympyOracles:
         value = sp.expand((v.H * s * v)[0])
         assert sp.expand(sp.im(value)) == 0
         assert lowest_coefficient(value) < 0
+        # the folded pair (1, 2) starts past k = 0 and is swapped into place
+        form = hermitian_form([[ZERO, ZERO, ZERO], [ZERO, ZERO, I1 * scale], [ZERO, -I1 * scale, ZERO]])
+        assert is_nonneg_definite(form)[0] is Definiteness.INDEFINITE
+        d, diag = congruence_diagonalize(form.entries)
+        s2 = scale * scale
+        assert diag == (ComplexSeries(2 * s2), ComplexSeries(-2 * s2 * s2), ComplexSeries())
+        dm = sympy_matrix(d)
+        got = (dm.H * sympy_matrix(form.entries) * dm).applyfunc(sp.expand)
+        assert got == sp.diag(*(to_sympy(x) for x in diag))
 
 
 class TestMatrixJson:

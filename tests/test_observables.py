@@ -193,3 +193,10 @@ def test_observable_normalization_drops_exact_zeros():
 def test_degree():
     assert (Q**2 * P).degree == 3
     assert Observable(1, {}).degree == 0
+
+
+def test_power_is_the_repeated_product():
+    f = Q + P
+    assert f**5 == f * f * f * f * f
+    assert f**0 == constant(1, ONE)
+    assert (Q**1_000_000_000).degree == 1_000_000_000

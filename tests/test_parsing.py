@@ -79,6 +79,7 @@ class TestObservableGrammar:
         f = parse_observable("(q1 + p1)^2")
         q, p = coordinate(1, "q", 1), coordinate(1, "p", 1)
         assert f == (q + p) * (q + p)
+        assert parse_observable("(q1 + p1)^5") == (q + p) * (q + p) * (q + p) * (q + p) * (q + p)
 
     def test_fractional_h_power_rejected(self):
         with pytest.raises(ExprSyntaxError):

@@ -102,7 +102,7 @@ class TestCanonicalForm:
             (series({F(1, 2): F(1, 6), 1: 1, F(4, 3): 2}) - h(F(1, 2), F(1, 6)) - h(F(4, 3), 2), HBAR),
             (series({F(1, 3): F(1, 2), 2: 1}, trunc=F(5, 2)) + h(F(1, 3), F(-1, 2)), series({2: 1}, trunc=F(5, 2))),
             (series({F(1, 2): 3, F(7, 4): F(1, 4)}).truncate(1), series({F(1, 2): 3}, trunc=1)),
-            (h(F(2, 3), 4).shift(F(1, 3)), h(1, 4)),
+            (h(F(2, 3), 4) * h(F(1, 3)), h(1, 4)),
         ],
         ids=["half-half", "cancel", "6/4", "sum", "truncated sum", "truncate", "shift"],
     )

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 import sympy as sp
 
 from dq.errors import InexactDivision
-from dq.series import INF, exact_div, series
+from dq.series import INF, Series, exact_div, series
 
 T = sp.Symbol("t", positive=True)
 GRID = 120  # 2 * lcm(1, ..., 6)
@@ -88,20 +89,42 @@ def _product_order(a, b):
 
 
 def _pairs(seed):
+    """Two drawn operands; then, on both sides of a drawn operand, the
+    constants 0, +-k and a Fraction, and an exact monomial whose exponent
+    grid the (truncated) operand's grid does not hold when that is possible."""
     rng = random.Random(seed)
     blur = series({}, trunc=2)  # zero modulo h^2
     for trial in range(TRIALS):
         a, b = _operand(rng, rng.random() < 0.5), _operand(rng, rng.random() < 0.5)
         yield (a, blur) if trial % 10 == 9 else (a, b)
+    for _ in range(TRIALS // 4):
+        a = _operand(rng, rng.random() < 0.5)
+        k = rng.randint(1, 9)
+        for c in (0, k, -k, _coeff(rng)):
+            yield a, c
+            yield c, a
+        a = _operand(rng, True)
+        grid = lcm(*(e.denominator for e, _ in a.terms))
+        den = rng.choice([x for x in range(2, 7) if grid % x] or [1])
+        num = rng.choice([x for x in range(-den, 2 * den + 1) if gcd(x, den) == 1])
+        m = series([(F(num, den), _coeff(rng))])
+        yield a, m
+        yield m, a
+
+
+def _lift(x):
+    """An int or Fraction operand as the exact constant series it stands for."""
+    return x if isinstance(x, Series) else series([(0, x)])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_add_and_mul(seed):
     for a, b in _pairs(seed):
-        s, p = a + b, a * b
+        s, p, diff = a + b, a * b, a - b
+        a, b = _lift(a), _lift(b)
         assert s.trunc == min(a.trunc, b.trunc) and _agrees(s, _sym(a) + _sym(b))
         assert p.trunc == _product_order(a, b) and _agrees(p, _sym(a) * _sym(b))
-        assert _agrees(a - b, _sym(a) - _sym(b))
+        assert _agrees(diff, _sym(a) - _sym(b))
 
 
 def _div_pairs(seed):
