@@ -237,15 +237,19 @@ class Series:
     __rmul__ = __mul__
 
     def _monomial_mul(self, k: int, eden: int, num: int, cden: int) -> "Series":
-        """Product with the exact monomial ``(num / cden) h^(k / eden)``,
-        ``cden > 0``: the one path of ``*`` by an exact monomial or a constant
-        (``k`` 0, ``eden`` 1, exponents and truncation kept), and of ``/`` by
-        an exact monomial."""
+        """Product with the exact monomial ``(num / cden) h^(k / eden)``, ``cden > 0``:
+        the one path of ``*`` by an exact monomial or a constant (``k = 0``,
+        ``eden = 1``), and of ``/`` by an exact monomial."""
         if not num:
             return ZERO
         nums = [x * num for x in self._nums]
-        if not k:
-            return _canonical(self._eden, self._exps, nums, self._cden * cden, self.trunc)
+        if not k:  # a constant: exponents, truncation and the canonical grid stay
+            cden *= self._cden
+            g = gcd(cden, *nums)
+            if g != 1:
+                cden //= g
+                nums = [n // g for n in nums]
+            return Series(self._eden, self._exps, nums, cden, self.trunc)
         trunc = self.trunc if self.trunc == INF else self.trunc + Fraction(k, eden)
         e = self._eden if self._eden == eden else lcm(self._eden, eden)
         shift = k * (e // eden)
@@ -435,9 +439,7 @@ def _zero(trunc: Order) -> Series:
 def _canonical(eden: int, exps: list[int], nums: list[int], cden: int, trunc: Order) -> Series:
     """The canonical Series of aligned exponent and nonzero coefficient
     numerators (exponents strictly increasing, ``cden > 0``); the lists are
-    stored, not copied."""
-    if not nums:
-        return _zero(trunc)
+    stored, not copied; empty lists give the zero modulo h^trunc."""
     g = gcd(cden, *nums)
     if g != 1:
         cden //= g
