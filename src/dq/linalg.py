@@ -8,9 +8,12 @@ IndeterminateAtTruncation.
 
 One fraction-free (Bareiss) elimination step does all the elimination:
 ``determinant``, ``kernel`` and ``congruence_diagonalize`` differ only in
-their pivot choice.  Intermediate entries are minors of the input, so for
-exact entries every division is exact, nothing is truncated, and an exactly
-singular matrix yields an exact zero.  Hermitian congruence reduction
+their pivot choice.  The step's update pivot * x - lead * y is one
+:func:`dq.series.dot` before the exact division, and so are the sums of
+products of ``kernel``'s back substitution, ``gram_form`` and
+``hermitian_quadratic``.  Intermediate entries are minors of the input, so
+for exact entries every division is exact, nothing is truncated, and an
+exactly singular matrix yields an exact zero.  Hermitian congruence reduction
 returns ``D`` with ``D^H S D`` diagonal; the inertia read off that diagonal
 classifies hermitian forms without leaving the field.  The inertia test
 builds ``D`` only for an indefinite form, whose witness is a column of it.
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     DimensionTooSmall,
@@ -47,6 +51,7 @@ from .series import (
     as_complex,
     decide_sign,
     decide_zero,
+    dot,
     exact_div,
 )
 
@@ -73,6 +78,7 @@ def _require_square(matrix):
 def _bareiss_step(rows, k, start, pivot, leads, prev) -> None:
     """row_j <- (pivot * row_j - lead_j * row_k) / prev for the rows j after
     k, over the columns from ``start``; ``leads`` holds lead_j for each j.
+    The numerator of each entry is one :func:`~dq.series.dot`.
 
     Entries stay minors of the input, so for exact entries the division by
     the previous pivot is exact and nothing truncates.
@@ -81,8 +87,9 @@ def _bareiss_step(rows, k, start, pivot, leads, prev) -> None:
     width = range(start, len(row_k))
     divide = not (prev - 1).is_zero  # no division by an exact 1
     for row, lead in zip(rows[k + 1 :], leads):
+        lead = -lead
         for c in width:
-            x = pivot * row[c] - lead * row_k[c]
+            x = dot(((pivot, row[c]), (lead, row_k[c])))
             row[c] = x / prev if divide else x
 
 
@@ -147,9 +154,7 @@ def kernel(matrix):
         vec[fc] = prev
         for i in reversed(range(len(pivots))):
             row = rows[i]
-            acc = zero
-            for c in pivots[i + 1 :] + [fc]:
-                acc = acc + row[c] * vec[c]
+            acc = dot((row[c], vec[c]) for c in pivots[i + 1 :] + [fc])
             vec[pivots[i]] = -acc / row[pivots[i]]
         basis.append(_lead_one(vec))
     return basis
@@ -269,27 +274,18 @@ def split(form: HermitianForm):
 def gram_form(rows) -> HermitianForm:
     """G^H G for any rectangular complex matrix G: non-negative by construction."""
     g = [[as_complex(x) for x in row] for row in rows]
+    gh = [[x.conj() for x in row] for row in g]
     m, n = len(g), len(g[0])
-    ent = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            s = ComplexSeries()
-            for r in range(m):
-                s = s + g[r][j].conj() * g[r][k]
-            row.append(s)
-        ent.append(row)
+    ent = [[dot((gh[r][j], g[r][k]) for r in range(m)) for k in range(n)] for j in range(n)]
     return hermitian_form(ent)
 
 
 def hermitian_quadratic(form: HermitianForm, v) -> ComplexSeries:
     """The value of the form on v: sum_jk conj(v_j) phi_jk v_k."""
-    out = ComplexSeries()
-    for j in range(form.n):
-        cj = as_complex(v[j]).conj()
-        for k in range(form.n):
-            out = out + cj * form.entries[j][k] * as_complex(v[k])
-    return out
+    v = [as_complex(x) for x in v]
+    vh = [x.conj() for x in v]
+    n = form.n
+    return as_complex(dot((vh[j] * form.entries[j][k], v[k]) for j in range(n) for k in range(n)))
 
 
 class Definiteness(Enum):
@@ -425,9 +421,7 @@ def check_hadamard_chain(form: HermitianForm, definiteness: Definiteness) -> Had
     _require_nonneg(definiteness)
     a, b = split(form)
     n = form.n
-    product = ONE
-    for k in range(n):
-        product = product * a[k][k]
+    product = prod((a[k][k] for k in range(n)), start=ONE)
     det_a = determinant(a)
     det_b = determinant(b)
     det_phi = _real_det(form)

@@ -81,8 +81,7 @@ class Observable:
         return Observable(self.d, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        out = self + (-other if isinstance(other, Observable) else -as_complex(other))
-        return out
+        return self + (-other if isinstance(other, Observable) else -as_complex(other))
 
     def __rsub__(self, other):
         return (-self) + other

@@ -46,6 +46,7 @@ from .series import (
     agree_mod_trunc,
     compare,
     decide_zero,
+    dot,
     h,
     metric,
     rational,
@@ -138,10 +139,7 @@ def rand_gram(rng: random.Random, n: int, scalar: str, singular: bool = False):
         if all(c == 0 for c in coeffs):
             coeffs[0] = Fraction(1)
         for r in range(n):
-            acc = ComplexSeries()
-            for j, c in enumerate(coeffs):
-                acc = acc + g[r][j] * c
-            g[r][n - 1] = acc
+            g[r][n - 1] = dot(zip(g[r], coeffs))
     return gram_form(g)
 
 

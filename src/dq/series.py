@@ -37,6 +37,16 @@ The layout is private to this module; :attr:`Series.terms` gives the
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
 
+A sum of products is one :func:`dot`: the integer numerators of all the
+products accumulate in one dict on the common exponent grid over the
+common content denominator, and one canonical element is built at the end.
+It keeps the rules of ``*`` and ``+``: a product with the exact zero adds
+nothing, one with a truncated zero adds only its truncation, and the sum is
+known to the least product truncation.  A complex pair splits into real
+products.  The callers are the Bareiss update and ``kernel``'s back
+substitution, ``gram_form``, ``hermitian_quadratic``, and the Isserlis sums
+of ``GaussianState._moment``, ``star_expectation`` and ``expectation``.
+
 This module is the one owner of truncation: :func:`decide_zero` and
 :func:`decide_sign` give an exact answer or raise
 :class:`~dq.errors.IndeterminateAtTruncation`, and every zero or sign
@@ -47,7 +57,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -645,15 +654,113 @@ def agree_mod_trunc(a: Series, b: Series) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# sums of products
+
+
+def dot(pairs) -> Series | ComplexSeries:
+    """``sum a * b`` over ``(a, b)`` pairs of ``int``, ``Fraction``, Series or
+    ComplexSeries operands: a ComplexSeries when an operand is one, else a
+    Series (the exact zero for no pairs).  A complex pair adds re = ar br -
+    ai bi and im = ar bi + ai br, less the products by a zero ``ai``/``bi``."""
+    re, im, cplx = [], [], False
+    for a, b in pairs:
+        ai = bi = None
+        if type(a) is ComplexSeries:
+            a, ai, cplx = a.re, (a.im if a.im._nums or a.im.trunc != INF else None), True
+        elif type(a) is not Series:
+            a = as_series(a)
+        if type(b) is ComplexSeries:
+            b, bi, cplx = b.re, (b.im if b.im._nums or b.im.trunc != INF else None), True
+        elif type(b) is not Series:
+            b = as_series(b)
+        re.append((1, a, b))
+        if ai is not None:
+            im.append((1, ai, b))
+            if bi is not None:
+                re.append((-1, ai, bi))
+        if bi is not None:
+            im.append((1, a, bi))
+    return ComplexSeries(_sum_products(re), _sum_products(im)) if cplx else _sum_products(re)
+
+
+def _sum_products(terms) -> Series:
+    """``sum sign * a * b`` over ``(sign, a, b)`` terms of Series, ``sign``
+    1 or -1: one product is ``a * b``; more accumulate on one grid."""
+    if len(terms) < 2:
+        if not terms:
+            return ZERO
+        sign, a, b = terms[0]
+        return a * b if sign == 1 else -(a * b)
+    live = []
+    trunc = INF
+    e = d = 1
+    for term in terms:
+        _, a, b = term
+        if a._nums and b._nums:
+            live.append(term)
+            if e % a._eden or e % b._eden:
+                e = lcm(e, a._eden, b._eden)
+            dab = a._cden * b._cden
+            if d % dab:
+                d = lcm(d, dab)
+            if a.trunc == INF and b.trunc == INF:
+                continue
+        elif not a._nums and a.trunc == INF or not b._nums and b.trunc == INF:
+            continue  # a product with the exact zero
+        t = _product_trunc(a, b)
+        if t < trunc:
+            trunc = t
+    acc: dict[int, int] = {}
+    get = acc.get
+    cut = None if trunc == INF else _cut(trunc, e)
+    for sign, a, b in live:
+        s = sign * (d // (a._cden * b._cden))
+        ka = a._exps if a._eden == e else [k * (e // a._eden) for k in a._exps]
+        kb = b._exps if b._eden == e else [k * (e // b._eden) for k in b._exps]
+        na = a._nums if s == 1 else [n * s for n in a._nums]
+        xb = list(zip(kb, b._nums))
+        if cut is None:
+            for k1, n1 in zip(ka, na):
+                for k2, n2 in xb:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + n1 * n2
+            continue
+        for k1, n1 in zip(ka, na):
+            lim = cut - k1  # exponents k with k / e < trunc are kept
+            for k2, n2 in xb:
+                if k2 >= lim:
+                    break
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
+    keys = sorted(filter(get, acc))  # the keys of nonzero numerators
+    return _canonical(e, keys, list(map(acc.__getitem__, keys)), d, trunc)
+
+
+# ---------------------------------------------------------------------------
 # complexification
 
 
-@dataclass(frozen=True, slots=True)
 class ComplexSeries:
-    """Element of the complexified field: ``re + i*im`` with ``i^2 = -1``."""
+    """Element of the complexified field: ``re + i*im`` with ``i^2 = -1``.
 
-    re: Series = ZERO
-    im: Series = ZERO
+    Immutable like :class:`Series` (``tests/test_series_layout.py``), with
+    the value equality and hash of the pair; it never equals a Series.  A
+    sum or product with an ``int``, a ``Fraction``, a Series or a value of
+    exact-zero imaginary part does only the real work; others are a dot."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Series = ZERO, im: Series = ZERO):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        if type(other) is not ComplexSeries:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     @property
     def trunc(self) -> Order:
@@ -669,13 +776,14 @@ class ComplexSeries:
 
     def abs2(self) -> Series:
         """Squared modulus ``re^2 + im^2`` (a real series)."""
-        return self.re * self.re + self.im * self.im
+        return _sum_products(((1, self.re, self.re), (1, self.im, self.im)))
 
     def __add__(self, other):
-        other = _ccoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexSeries(self.re + other.re, self.im + other.im)
+        if type(other) is ComplexSeries:
+            return ComplexSeries(self.re + other.re, self.im + other.im)
+        if isinstance(other, (Series, int, Fraction)):
+            return ComplexSeries(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -684,26 +792,20 @@ class ComplexSeries:
 
     def __sub__(self, other):
         other = _ccoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         other = _ccoerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        other = _ccoerce(other)
-        if other is NotImplemented:
+        if type(other) is ComplexSeries:
+            if other.im._nums or other.im.trunc != INF:
+                return dot(((self, other),))
+            other = other.re
+        elif not isinstance(other, (Series, int, Fraction)):
             return NotImplemented
-        if self.im.is_zero and other.im.is_zero:
-            return ComplexSeries(self.re * other.re, ZERO)
-        return ComplexSeries(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return ComplexSeries(self.re * other, self.im * other)
 
     __rmul__ = __mul__
 
@@ -713,9 +815,7 @@ class ComplexSeries:
             return NotImplemented
         if other.im.is_zero:
             return ComplexSeries(self.re / other.re, self.im / other.re)
-        num = self * other.conj()
-        den = other.abs2()
-        return ComplexSeries(num.re / den, num.im / den)
+        return self * other.conj() / other.abs2()
 
     def __repr__(self) -> str:
         return f"ComplexSeries[({self.re}) + i*({self.im})]"
@@ -724,11 +824,8 @@ class ComplexSeries:
 def _ccoerce(value):
     if isinstance(value, ComplexSeries):
         return value
-    if isinstance(value, Series):
-        return ComplexSeries(value, ZERO)
-    if isinstance(value, (int, Fraction)):
-        return ComplexSeries(_coerce(value), ZERO)
-    return NotImplemented
+    value = _coerce(value)
+    return value if value is NotImplemented else ComplexSeries(value)
 
 
 def as_complex(value) -> ComplexSeries:

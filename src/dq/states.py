@@ -51,9 +51,11 @@ from .series import (
     Series,
     Sign,
     ZERO,
+    as_complex,
     as_series,
     decide_sign,
     decide_zero,
+    dot,
     series,
 )
 
@@ -123,7 +125,7 @@ class GaussianState:
         # f = sum_j v_j (xi_j - mu_j); the star path re-derives it
         n = 2 * self.d
         terms = {tuple(int(i == j) for i in range(n)): v[j] for j in range(n)}
-        terms[(0,) * n] = -sum((vj * mu for vj, mu in zip(v, self.mean)), ComplexSeries())
+        terms[(0,) * n] = -as_complex(dot(zip(v, self.mean)))
         f = observable(self.d, terms)
         norm = gelfand_norm(self, f)
         if decide_sign(norm) is not Sign.NEGATIVE:
@@ -143,13 +145,13 @@ class GaussianState:
         """Exact expectation of a polynomial observable."""
         if f.d != self.d:
             raise DimensionMismatch(f"observable d={f.d}, state d={self.d}")
-        total = ComplexSeries()
+        pairs = []
         for mono, coeff in f.terms.items():
             degree = sum(mono)
             if degree > MOMENT_CAP:
                 raise MomentDegreeExceeded(f"moment of degree {degree} exceeds cap {MOMENT_CAP}")
-            total = total + coeff * self._moment(_indices(mono))
-        return total
+            pairs.append((coeff, self._moment(_indices(mono))))
+        return as_complex(dot(pairs))
 
     def expect_real(self, f: Observable, what: str = "expectation") -> Series:
         """Expectation that must be real; returns the real series."""
@@ -162,12 +164,13 @@ class GaussianState:
         """E[Z_a Z_b ...] of the doubled Gaussian over the sorted index
         multiset ``idxs``: index j < 2d is X_j and 2d + j is Y_j.
 
-        A moment of X alone is real, and a mixed one is complex from the
-        start of its sum.  A moment of Y alone is the same moment of X,
-        looked up under the X indices.  Otherwise the first index is an
-        X index, and its partners come in the sorted order of ``idxs``: the
-        X partners through cov, then the Y partners through the cross block.
-        A partner whose entry is the exact zero is skipped.
+        A moment of X alone is real, and a mixed one is complex.  A moment
+        of Y alone is the same moment of X, looked up under the X indices.
+        Otherwise the first index is an X index, and its partners come in
+        the sorted order of ``idxs``: the X partners through cov, then the
+        Y partners through the cross block.  A partner whose entry is the
+        exact zero is skipped.  The mean term and the partner terms are one
+        :func:`~dq.series.dot`.
         """
         if not idxs:
             return ONE
@@ -179,9 +182,7 @@ class GaussianState:
             return cached
         first, rest = idxs[0], idxs[1:]
         mu = self.mean[first]
-        total = ZERO if mu.is_zero else mu * self._moment(rest)
-        if idxs[-1] >= n and type(total) is Series:
-            total = ComplexSeries(total)
+        pairs = [] if mu.is_zero else [(mu, self._moment(rest))]
         row = self._rows[first]
         for pos, b in enumerate(rest):
             if pos and b == rest[pos - 1]:
@@ -189,7 +190,11 @@ class GaussianState:
             if row[b].is_zero:
                 continue
             mult = rest.count(b)
-            total = total + mult * row[b] * self._moment(rest[:pos] + rest[pos + 1 :])
+            sab = row[b] if mult == 1 else mult * row[b]
+            pairs.append((sab, self._moment(rest[:pos] + rest[pos + 1 :])))
+        total = dot(pairs)
+        if idxs[-1] >= n and type(total) is Series:
+            total = ComplexSeries(total)
         self._central_cache[idxs] = total
         return total
 
@@ -198,7 +203,8 @@ class GaussianState:
 
         With f = sum_x c_x X^x and g = sum_y d_y Y^y the value is the factored
         sum ``sum_x c_x (sum_y d_y E[X^x Y^y])``: one product by c_x per term
-        of f, not one per pair of terms.
+        of f, not one per pair of terms.  Each sum is one
+        :func:`~dq.series.dot`.
         """
         for x in (f, g):
             if x.d != self.d:
@@ -208,14 +214,11 @@ class GaussianState:
             raise MomentDegreeExceeded(f"moment of degree {degree} exceeds cap {MOMENT_CAP}")
         n = 2 * self.d
         right = [(tuple(n + i for i in _indices(mono)), coeff) for mono, coeff in g.terms.items()]
-        total = ComplexSeries()
+        rows = []
         for mono, coeff in f.terms.items():
             xs = _indices(mono)
-            row = ComplexSeries()
-            for ys, coeff2 in right:
-                row = row + coeff2 * self._moment(xs + ys)
-            total = total + coeff * row
-        return total
+            rows.append((coeff, dot([(coeff2, self._moment(xs + ys)) for ys, coeff2 in right])))
+        return as_complex(dot(rows))
 
     def __repr__(self) -> str:
         return f"GaussianState(d={self.d})"

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import DimensionTooSmall, InternalConsistencyError, SingularTransform
 from .linalg import (
@@ -46,7 +47,7 @@ from .linalg import (
     trace_bounds,
 )
 from .observables import Observable, require_real
-from .series import I_UNIT, ONE, Series, as_complex, decide_zero
+from .series import I_UNIT, ONE, Series, as_complex, decide_zero, dot
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
@@ -135,9 +136,7 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
     mm = moment_matrices(state, xs)
     n = len(mm.variances)
     rs = _rs_report(mm)
-    product = ONE
-    for v in mm.variances:
-        product = product * v
+    product = prod(mm.variances, start=ONE)
     hr = InequalityReport(product, rs.rhs, relation_of(product, rs.rhs))
     hr_intelligent = hr.relation is Relation.EQUAL
     rs_intelligent = rs.relation is Relation.EQUAL
@@ -152,7 +151,7 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
     witness = None
     if n == 2:
         lhs = mm.variances[0] * mm.variances[1]
-        rhs = mm.a[0][1] * mm.a[0][1] + mm.b[0][1] * mm.b[0][1]
+        rhs = dot(((mm.a[0][1], mm.a[0][1]), (mm.b[0][1], mm.b[0][1])))
         det_phi = determinant(mm.phi.entries)
         if not decide_zero(det_phi.im) or det_phi.re != lhs - rhs:
             raise InternalConsistencyError("two-observable gap must equal det(phi)")

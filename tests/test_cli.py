@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -221,6 +222,32 @@ def test_proptest_trace_dimension_one_is_a_usage_error():
     code, out = _main(["proptest", "trace", "--trials", "2", "--dims", "2,3"])
     assert code == cli.EXIT_OK
     assert out.startswith("suite trace: trials=2 seed=0 dims=2,3\n")
+
+
+@pytest.mark.parametrize("command", ["check", "intelligent"])
+def test_relation_commands_do_not_import_the_suites(tmp_path, command):
+    # dq proptest imports dq.proptests itself; the other commands never compile it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        "from dq import cli\n"
+        f"code = cli.main([{command!r}, '--state', 'ground', '--obs=q1', '--obs=p1'])\n"
+        "assert code == 0, code\n"
+        "assert 'dq.proptests' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_unknown_proptest_suite_is_a_usage_error_that_lists_the_suites():
+    from dq.proptests import SUITES
+
+    code, err = _main_err(["proptest", "nope", "--trials", "1"])
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: unknown suite 'nope'; choose from {', '.join(SUITES)}\n"
 
 
 def _record() -> None:

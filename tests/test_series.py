@@ -14,6 +14,7 @@ from dq.errors import (
     IrrationalLeadingCoefficient,
     NotPositive,
 )
+from dq.observables import coordinate, observable
 from dq.series import (
     HBAR,
     INF,
@@ -220,6 +221,63 @@ class TestComplex:
         z = ComplexSeries(ONE, HBAR)
         assert z.conj() == ComplexSeries(ONE, -HBAR)
         assert z.conj().conj() == z
+
+    #: complex operands: a nonzero, a truncated and a truncated-zero imaginary
+    #: part, and an exact-zero one
+    COMPLEX = (
+        ComplexSeries(ONE + h(F(1, 2), 3), HBAR - h(2)),
+        ComplexSeries(series({0: 2, 1: -1}, trunc=3), series({1: F(1, 3)}, trunc=F(5, 2))),
+        ComplexSeries(h(-1, 2), series({}, trunc=2)),
+        ComplexSeries(series({F(1, 3): 5}, trunc=4)),
+    )
+    #: real operands: ints (zero too), a Fraction, exact and truncated
+    #: series, a truncated zero, and ComplexSeries with an exact-zero part
+    REAL = (
+        0,
+        3,
+        F(-2, 5),
+        ZERO,
+        HBAR + h(F(1, 2), 3),
+        series({1: 2, 2: 1}, trunc=3),
+        series({}, trunc=2),
+        ComplexSeries(h(F(2, 3), -1)),
+        ComplexSeries(series({0: 1}, trunc=5), ZERO),
+    )
+
+    @staticmethod
+    def _parts(x):
+        if isinstance(x, ComplexSeries):
+            return x.re, x.im
+        return (x if isinstance(x, Series) else rational(x)), ZERO
+
+    @pytest.mark.parametrize("r", REAL, ids=repr)
+    @pytest.mark.parametrize("z", COMPLEX + REAL[-2:], ids=repr)
+    def test_a_real_operand_gives_the_full_formula(self, z, r):
+        (a, b), (c, d) = self._parts(z), self._parts(r)
+        product = ComplexSeries(a * c - b * d, a * d + b * c)
+        total = ComplexSeries(a + c, b + d)
+        for got, want in ((z * r, product), (r * z, product), (z + r, total), (r + z, total)):
+            assert type(got) is ComplexSeries
+            assert got == want and got.trunc == want.trunc
+
+    def test_equality_contract(self):
+        assert ComplexSeries(HBAR) != HBAR and HBAR != ComplexSeries(HBAR)
+        built = [
+            ComplexSeries(HBAR),
+            ComplexSeries(h(1), ZERO),
+            ComplexSeries(HBAR, HBAR - HBAR),
+            I_UNIT * ComplexSeries(ZERO, -HBAR),
+        ]
+        assert all(x == built[0] for x in built)
+        assert len({hash(x) for x in built}) == 1 and len(set(built)) == 1
+        assert ComplexSeries(HBAR) != ComplexSeries(HBAR, series({}, trunc=3))
+
+    def test_observable_terms_compare_by_value(self):
+        q = coordinate(1, "q", 1)
+        doubled = q * 2
+        assert doubled == observable(1, {(1, 0): 2}) == q + q
+        assert doubled.terms == {(1, 0): ComplexSeries(rational(2))}
+        assert doubled != observable(1, {(1, 0): ComplexSeries(rational(2), HBAR)})
 
 
 class TestExactDivision:

@@ -10,9 +10,10 @@ module of ``src/dq``.
 Values are immutable by convention only (a frozen class would slow every
 construction), and they share their numerator lists, so one stray write
 would change every value holding the same list and break hashing.  The
-second check rejects, in every module of ``src/dq``, any write to a field
-(``trunc`` included) outside ``Series.__init__`` and any in-place change of
-a stored list.
+same holds for ``ComplexSeries``, a slotted pair whose parts are shared.
+The second check rejects, in every module of ``src/dq``, any write to a
+field of either class (``trunc``, ``re`` and ``im`` included) outside that
+class's ``__init__``, and any in-place change of a stored list.
 """
 
 import ast
@@ -20,12 +21,14 @@ import pathlib
 
 import pytest
 
-from dq.series import Series
+from dq.series import ComplexSeries, Series
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "dq").glob("*.py"))
-FIELDS = frozenset(Series.__slots__)
-#: the stored fields, truncation aside (its owner test covers ``.trunc``)
-LAYOUT = FIELDS - {"trunc"}
+#: class -> the fields only its ``__init__`` may write
+OWNED = {"Series": frozenset(Series.__slots__), "ComplexSeries": frozenset(ComplexSeries.__slots__)}
+FIELDS = frozenset().union(*OWNED.values())
+#: the stored fields of Series, truncation aside (its owner test covers ``.trunc``)
+LAYOUT = OWNED["Series"] - {"trunc"}
 #: list methods that change the list in place
 MUTATORS = frozenset(
     {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
@@ -43,15 +46,15 @@ def _is_field(node: ast.AST) -> bool:
 
 
 def _writes(tree: ast.AST):
-    """Writes to a field outside ``Series.__init__``, and list mutations."""
-    allowed: set[int] = set()
+    """Writes to a field outside its class's ``__init__``, and list mutations."""
+    allowed: dict[int, frozenset] = {}  # node -> the fields it may write
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and cls.name == "Series":
+        if isinstance(cls, ast.ClassDef) and cls.name in OWNED:
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    allowed.update(id(n) for n in ast.walk(fn))
+                    allowed.update((id(n), OWNED[cls.name]) for n in ast.walk(fn))
     for node in ast.walk(tree):
-        if id(node) in allowed:
+        if _is_field(node) and node.attr in allowed.get(id(node), ()):
             continue
         if _is_field(node) and isinstance(node.ctx, (ast.Store, ast.Del)):
             yield node.lineno, f"write .{node.attr}"
@@ -101,9 +104,18 @@ def test_the_write_guard_catches_every_kind():
         "class Series:\n"
         "    def __init__(self, t):\n"
         "        self.trunc = t\n"
+        "        self.re = t\n"
         "    def cut(self, t):\n"
         "        self.trunc = t\n"
+        "class ComplexSeries:\n"
+        "    def __init__(self, re, im):\n"
+        "        self.re, self.im = re, im\n"
+        "        self.trunc = re\n"
+        "    def flip(self):\n"
+        "        self.im = -self.im\n"
         "def f(x, y):\n"
+        "    x.re = y\n"
+        "    del x.im\n"
         "    x._cden += 1\n"
         "    del x._eden\n"
         "    x._nums[0] = 2\n"
@@ -115,6 +127,11 @@ def test_the_write_guard_catches_every_kind():
     found = sorted(what for _, what in _writes(ast.parse(source)))
     assert found == sorted(
         [
+            "write .re",
+            "write .trunc",
+            "write .im",
+            "write .re",
+            "write .im",
             "write .trunc",
             "write ._cden",
             "write ._eden",
@@ -126,3 +143,15 @@ def test_the_write_guard_catches_every_kind():
             "write ._nums",
         ]
     )
+
+
+def test_series_imports_no_dataclasses():
+    # both classes are plain slotted classes; dataclasses pulls in inspect and ast
+    tree = ast.parse((SOURCES[0].parent / "series.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported

@@ -8,7 +8,8 @@ below its truncation, so a result is checked only below its own
 truncation, and that truncation against the order the operands support.
 ``inv`` and ``sqrt`` are checked through the equation that determines them
 below the result's truncation (``a * r = 1``, ``r * r = a``); ``exact_div``
-against ``sympy.cancel``.
+against ``sympy.cancel``.  ``dot`` is checked against the chained sum of
+products it replaces, field for field, and its real sums against sympy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 import sympy as sp
 
 from dq.errors import InexactDivision
-from dq.series import INF, Series, exact_div, series
+from dq.series import INF, ZERO, ComplexSeries, Series, dot, exact_div, series
 
 T = sp.Symbol("t", positive=True)
 GRID = 120  # 2 * lcm(1, ..., 6)
@@ -191,3 +192,51 @@ def test_sqrt(seed):
         # r * r = a below h^(trunc(r) + val(a)/2) determines r below trunc(r)
         w = r.trunc + g0 / 2
         assert _below(_sym(r) ** 2, w) == _below(_sym(a), w)
+
+
+def _dot_operand(rng, complex_ok):
+    """An exact zero, a truncated zero, a constant, a drawn (possibly
+    truncated) series, or, when ``complex_ok``, a ComplexSeries of two of
+    these, one part of which may be the exact zero."""
+    kind = rng.randrange(8 if complex_ok else 6)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return series({}, trunc=F(rng.randint(-2, 8), rng.randint(1, 6)))
+    if kind == 2:
+        return rng.choice([0, rng.randint(-9, 9), _coeff(rng)])
+    if kind < 6:
+        return _operand(rng, rng.random() < 0.5)
+    re, im = (_lift(_dot_operand(rng, False)) for _ in range(2))
+    return ComplexSeries(re, ZERO if kind == 6 else im)
+
+
+def _dot_cases(seed):
+    """Lists of zero to five pairs: real ones, then ones with complex
+    operands on either side.  The empty list and the grids 1 to 6 come up
+    in both."""
+    rng = random.Random(seed)
+    for trial in range(4 * TRIALS):
+        complex_ok = trial >= 2 * TRIALS
+        yield [
+            (_dot_operand(rng, complex_ok), _dot_operand(rng, complex_ok))
+            for _ in range(rng.randint(0, 5))
+        ]
+
+
+def _chained(pairs):
+    total = ComplexSeries() if any(type(x) is ComplexSeries for p in pairs for x in p) else ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dot(seed):
+    for pairs in _dot_cases(seed):
+        got, want = dot(pairs), _chained(pairs)
+        assert type(got) is type(want)
+        assert got == want and got.trunc == want.trunc
+        if type(got) is Series:
+            value = sp.Add(*(_sym(_lift(a)) * _sym(_lift(b)) for a, b in pairs))
+            assert _agrees(got, value)
