@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DQError, ExprSyntaxError, IndeterminateAtTruncation
 from .linalg import Relation
-from .parsing import infer_dof, parse_observable, parse_series
+from .parsing import parse_observables, parse_series
 from .series import ComplexSeries
 from .states import GaussianState, correlated, ground, load_state, squeezed
 from .uncertainty import RelationChecks, check_relations
@@ -93,20 +93,18 @@ def _cmd_field_eval(args) -> int:
 def _cmd_star(args) -> int:
     from .observables import star
 
-    d = args.d if args.d is not None else max(infer_dof(args.left), infer_dof(args.right))
-    f = parse_observable(args.left, d)
-    g = parse_observable(args.right, d)
+    f, g = parse_observables((args.left, args.right), args.d)
     result = star(f, g)
     if args.json:
-        print(json.dumps({"d": d, "star": result.literal()}, sort_keys=True))
+        print(json.dumps({"d": f.d, "star": result.literal()}, sort_keys=True))
     else:
         print(result.literal())
     return EXIT_OK
 
 
 def _parse_check_inputs(args):
-    d = max(infer_dof(expr) for expr in args.obs)
-    xs = [parse_observable(expr, d) for expr in args.obs]
+    xs = parse_observables(args.obs)
+    d = xs[0].d
     state = _resolve_state(args.state, d)
     if state.d != d:
         raise DQError(f"state has d={state.d} but observables need d={d}")

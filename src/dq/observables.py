@@ -19,7 +19,9 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DimensionMismatch, NotReal
-from .series import C_ONE, ComplexSeries, ZERO, _ccoerce, as_complex, decide_zero, series
+from .series import (
+    C_ONE, ComplexSeries, ZERO, _ccoerce, _frac_str, as_complex, decide_zero, series,
+)
 
 #: q-exponents for dof 1..d, then p-exponents for dof 1..d
 Monomial = tuple[int, ...]
@@ -47,9 +49,6 @@ class Observable:
         """Every coefficient has a zero imaginary part."""
         return all(decide_zero(c.im) for c in self.terms.values())
 
-    def coefficient(self, mono: Monomial) -> ComplexSeries:
-        return self.terms.get(tuple(mono), ComplexSeries())
-
     def conj(self) -> "Observable":
         return Observable(self.d, {m: c.conj() for m, c in self.terms.items()})
 
@@ -65,11 +64,7 @@ class Observable:
     def __add__(self, other):
         if isinstance(other, Observable):
             _check_same_d(self, other)
-            acc = dict(self.terms)
-            for m, c in other.terms.items():
-                cur = acc.get(m)
-                acc[m] = c if cur is None else cur + c
-            return _make(self.d, acc)
+            return _collect(self.d, [*self.terms.items(), *other.terms.items()])
         scalar = _ccoerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -90,18 +85,15 @@ class Observable:
         """Pointwise (commutative) product, or scalar rescaling."""
         if isinstance(other, Observable):
             _check_same_d(self, other)
-            acc: dict[Monomial, ComplexSeries] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(x + y for x, y in zip(m1, m2))
-                    c = c1 * c2
-                    cur = acc.get(m)
-                    acc[m] = c if cur is None else cur + c
-            return _make(self.d, acc)
+            return _collect(self.d, [
+                (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            ])
         scalar = _ccoerce(other)
         if scalar is NotImplemented:
             return NotImplemented
-        return _make(self.d, {m: c * scalar for m, c in self.terms.items()})
+        return _collect(self.d, [(m, c * scalar) for m, c in self.terms.items()])
 
     __rmul__ = __mul__
 
@@ -118,16 +110,11 @@ class Observable:
     def diff(self, kind: str, index: int) -> "Observable":
         """Exact partial derivative with respect to q<index> or p<index>."""
         slot = (index - 1) + (self.d if kind == "p" else 0)
-        acc = {}
-        for m, c in self.terms.items():
-            e = m[slot]
-            if e == 0:
-                continue
-            key = m[:slot] + (e - 1,) + m[slot + 1 :]
-            cur = acc.get(key)
-            add = c * e
-            acc[key] = add if cur is None else cur + add
-        return _make(self.d, acc)
+        return _collect(self.d, [
+            (m[:slot] + (m[slot] - 1,) + m[slot + 1 :], c * m[slot])
+            for m, c in self.terms.items()
+            if m[slot]
+        ])
 
     # -- printing ----------------------------------------------------------
 
@@ -138,8 +125,7 @@ class Observable:
         fractional power of h, which the observable grammar cannot express.
         """
         flat = []
-        for m in sorted(self.terms, key=lambda m: (sum(m), m)):
-            c = self.terms[m]
+        for m, c in self.terms.items():
             for e, coeff in c.re.terms:
                 flat.append((m, e, False, coeff))
             for e, coeff in c.im.terms:
@@ -170,12 +156,7 @@ class Observable:
                 elif m[self.d + j] > 1:
                     pieces.append(f"p{j + 1}^{m[self.d + j]}")
             if mag != 1 or not pieces:
-                mag_str = (
-                    str(mag.numerator)
-                    if mag.denominator == 1
-                    else f"{mag.numerator}/{mag.denominator}"
-                )
-                pieces.insert(0, mag_str)
+                pieces.insert(0, _frac_str(mag))
             body = "*".join(pieces)
             if not parts:
                 parts.append(body if coeff > 0 else _negated_first(pieces))
@@ -202,21 +183,26 @@ def _check_same_d(f: Observable, g: Observable):
         raise DimensionMismatch(f"observables live on d={f.d} and d={g.d}")
 
 
-def _make(d: int, acc: dict[Monomial, ComplexSeries]) -> Observable:
+def _collect(d: int, terms) -> Observable:
+    """The observable that sums (monomial, coefficient) pairs, zero terms dropped."""
+    acc: dict[Monomial, ComplexSeries] = {}
+    for m, c in terms:
+        if m in acc:
+            acc[m] += c
+        else:
+            acc[m] = c
     return Observable(d, {m: c for m, c in acc.items() if not c.is_zero})
 
 
 def observable(d: int, terms: dict) -> Observable:
     """Normalized observable from {monomial: coefficient-like}."""
-    acc: dict[Monomial, ComplexSeries] = {}
+    pairs = []
     for m, c in terms.items():
         m = tuple(m)
         if len(m) != 2 * d or any(e < 0 for e in m):
             raise ValueError(f"bad monomial {m} for d={d}")
-        c = as_complex(c)
-        cur = acc.get(m)
-        acc[m] = c if cur is None else cur + c
-    return _make(d, acc)
+        pairs.append((m, as_complex(c)))
+    return _collect(d, pairs)
 
 
 def constant(d: int, value) -> Observable:
@@ -289,7 +275,7 @@ def star(f: Observable, g: Observable) -> Observable:
     """Moyal star product; exact and finite on polynomials."""
     _check_same_d(f, g)
     d = f.d
-    acc: dict[Monomial, ComplexSeries] = {}
+    out = []
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
             partials = [((), (), c1 * c2)]
@@ -300,11 +286,8 @@ def star(f: Observable, g: Observable) -> Observable:
                     for qe, pe, coeff in partials
                     for (eq, ep), tc in table
                 ]
-            for qe, pe, coeff in partials:
-                mono = qe + pe
-                cur = acc.get(mono)
-                acc[mono] = coeff if cur is None else cur + coeff
-    return _make(d, acc)
+            out += [(qe + pe, coeff) for qe, pe, coeff in partials]
+    return _collect(d, out)
 
 
 def moyal_bracket(f: Observable, g: Observable) -> Observable:
@@ -315,7 +298,7 @@ def moyal_bracket(f: Observable, g: Observable) -> Observable:
     """
     comm = star(f, g) - star(g, f)
     inv_ih = ComplexSeries(ZERO, series([(-1, -1)]))  # 1/(i h) = -i h^-1
-    return _make(comm.d, {m: c * inv_ih for m, c in comm.terms.items()})
+    return _collect(comm.d, [(m, c * inv_ih) for m, c in comm.terms.items()])
 
 
 def require_real(f: Observable, what: str = "observable") -> Observable:

@@ -87,6 +87,12 @@ class _Cursor:
     def fail(self, message: str):
         raise ExprSyntaxError(message, self.text, self.cur.pos)
 
+    def done(self, value):
+        """``value``, once every token is read."""
+        if self.cur.kind != "end":
+            self.fail(f"unexpected {self.cur.text!r}")
+        return value
+
 
 def _parse_unsigned_int(c: _Cursor) -> int:
     if c.cur.kind != "num":
@@ -158,9 +164,7 @@ def parse_series(text: str) -> Series:
             pairs.append((e, -coeff))
         else:
             break
-    if c.cur.kind != "end":
-        c.fail(f"unexpected {c.cur.text!r}")
-    return series(pairs)
+    return series(c.done(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +229,17 @@ def _parse_sum(c: _Cursor, d: int) -> Observable:
             return out
 
 
-def infer_dof(text: str) -> int:
-    """Largest coordinate index mentioned in the expression (at least 1)."""
-    best = 1
-    for tok in _tokenize(text):
-        if tok.kind == "qp":
-            best = max(best, int(tok.text[1:]))
-    return best
+def parse_observables(texts, d: int | None = None) -> list[Observable]:
+    """Parse phase-space polynomials on ``d`` degrees of freedom, by default
+    the largest coordinate index in any of them (at least 1).  Each text is
+    tokenized once; without ``d`` all are tokenized before any is parsed."""
+    cursors = map(_Cursor, texts)
+    if d is None:
+        cursors = list(cursors)
+        d = max([1] + [int(t.text[1:]) for c in cursors for t in c.tokens if t.kind == "qp"])
+    return [c.done(_parse_sum(c, d)) for c in cursors]
 
 
 def parse_observable(text: str, d: int | None = None) -> Observable:
     """Parse a phase-space polynomial; ``d`` defaults to the largest index."""
-    if d is None:
-        d = infer_dof(text)
-    c = _Cursor(text)
-    out = _parse_sum(c, d)
-    if c.cur.kind != "end":
-        c.fail(f"unexpected {c.cur.text!r}")
-    return out
+    return parse_observables([text], d)[0]

@@ -30,22 +30,21 @@ truncation) is not an identity, since it lowers the truncation of the sum,
 so it takes the general path; a product with the exact zero is the exact
 zero, whatever the other factor.  Every product by an exact monomial or an
 ``int``/``Fraction`` constant, on either side, is one shift and rescale in
-``Series._monomial_mul``; only the other products reach the general loop.
+``Series._monomial_mul``; only the other products reach the product loop.
 The layout is private to this module; :attr:`Series.terms` gives the
 ``(exponent, coefficient)`` pairs as ``Fraction`` for printing and tests.
 
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
 
-A sum of products is one :func:`dot`: the integer numerators of all the
-products accumulate in one dict on the common exponent grid over the
-common content denominator, and one canonical element is built at the end.
-It keeps the rules of ``*`` and ``+``: a product with the exact zero adds
-nothing, one with a truncated zero adds only its truncation, and the sum is
-known to the least product truncation.  A complex pair splits into real
-products.  The callers are the Bareiss update and ``kernel``'s back
-substitution, ``gram_form``, ``hermitian_quadratic``, and the Isserlis sums
-of ``GaussianState._moment``, ``star_expectation`` and ``expectation``.
+There is one integer product loop, ``_accumulate``: the numerators of
+all the products accumulate in one dict on the common exponent grid over
+the common content denominator, and one canonical element is built at the
+end.  A general ``Series`` product is one call of it, and a sum of products
+is one :func:`dot`, which keeps the rules of ``*`` and ``+``: a product with
+the exact zero adds nothing, one with a truncated zero adds only its
+truncation, and the sum is known to the least product truncation.  A
+complex pair splits into real products.
 
 This module is the one owner of truncation: :func:`decide_zero` and
 :func:`decide_sign` give an exact answer or raise
@@ -163,14 +162,6 @@ class Series:
     def _lead(self) -> tuple[Fraction, Fraction]:
         return Fraction(self._exps[0], self._eden), Fraction(self._nums[0], self._cden)
 
-    def coefficient(self, exponent: Rational) -> Fraction:
-        exponent = Fraction(exponent)
-        k, rest = divmod(exponent.numerator * self._eden, exponent.denominator)
-        i = bisect_left(self._exps, k)
-        if rest or i == len(self._exps) or self._exps[i] != k:
-            return Fraction(0)
-        return Fraction(self._nums[i], self._cden)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
@@ -225,23 +216,10 @@ class Series:
             return self._monomial_mul(other._exps[0], other._eden, other._nums[0], other._cden)
         if len(self._nums) == 1 and self.trunc == INF:
             return other._monomial_mul(self._exps[0], self._eden, self._nums[0], self._cden)
-        trunc = _product_trunc(self, other)
         ea, eb = self._eden, other._eden
         e = ea if ea == eb else lcm(ea, eb)
-        ka = _scaled(self._exps, e // ea)
-        xb = list(zip(_scaled(other._exps, e // eb), other._nums))
-        # exponents k with k / e < trunc are kept; an exact product keeps all
-        cut = ka[-1] + xb[-1][0] + 1 if trunc == INF else _cut(trunc, e)
-        acc: dict[int, int] = {}
-        for k1, n1 in zip(ka, self._nums):
-            lim = cut - k1
-            for k2, n2 in xb:
-                if k2 >= lim:
-                    break
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + n1 * n2
-        keys = sorted(k for k, n in acc.items() if n)
-        return _canonical(e, keys, [acc[k] for k in keys], self._cden * other._cden, trunc)
+        trunc = _product_trunc(self, other)
+        return _accumulate(((1, self, other),), e, self._cden * other._cden, trunc)
 
     __rmul__ = __mul__
 
@@ -710,6 +688,14 @@ def _sum_products(terms) -> Series:
         t = _product_trunc(a, b)
         if t < trunc:
             trunc = t
+    return _accumulate(live, e, d, trunc)
+
+
+def _accumulate(live, e: int, d: int, trunc: Order) -> Series:
+    """The one integer product loop: ``sum sign * a * b`` over ``(sign, a,
+    b)`` terms of nonzero supports, on the exponent grid ``e`` (a multiple
+    of every ``a._eden``, ``b._eden``) over the content denominator ``d`` (a
+    multiple of every ``a._cden * b._cden``), known to ``h^trunc``."""
     acc: dict[int, int] = {}
     get = acc.get
     cut = None if trunc == INF else _cut(trunc, e)

@@ -172,10 +172,7 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
 
 def _require_in_ideal(state: GaussianState, mm: MomentMatrices, coeffs, message: str) -> None:
     """The combination sum_j coeffs[j] * dX_j must annihilate the state."""
-    w = None
-    for coeff, dev in zip(coeffs, mm.devs):
-        part = dev * coeff
-        w = part if w is None else w + part
+    w = sum(dev * coeff for coeff, dev in zip(coeffs, mm.devs))
     if not in_gelfand_ideal(state, w):
         raise InternalConsistencyError(message)
 
@@ -214,10 +211,10 @@ def check_annihilating_transform(state: GaussianState, xs, u, v) -> AnnihilatorR
     ]
     norms = []
     for alpha in range(m):
-        prime = None
-        for beta in range(m):
-            part = ladders[beta] * u[alpha][beta] + ladders[beta].conj() * v[alpha][beta]
-            prime = part if prime is None else prime + part
+        prime = sum(
+            ladders[beta] * u[alpha][beta] + ladders[beta].conj() * v[alpha][beta]
+            for beta in range(m)
+        )
         norms.append(gelfand_norm(state, prime))
     all_zero = all(decide_zero(norm) for norm in norms)
     rs = _rs_report(mm)

@@ -186,6 +186,24 @@ def test_star_uses_the_given_dimension(d):
     assert _main(["star", "q1", "p1", "--d", "1"]) == (cli.EXIT_OK, "1/2*h*i + q1*p1\n")
 
 
+def test_star_with_d_reports_the_left_syntax_error_first():
+    code, err = _main_err(["star", "--d", "1", "q1 +", "p1 $"])
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("syntax error: expected q<i>") and err.endswith("column 5\n")
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_check_tokenizes_each_observable_once(workdir, monkeypatch, k):
+    from dq import parsing
+
+    texts = []
+    tokenize = parsing._tokenize
+    monkeypatch.setattr(parsing, "_tokenize", lambda text: texts.append(text) or tokenize(text))
+    obs = [f"--obs=q1 + {j}*p1" for j in range(1, k + 1)]
+    assert _main(["check", "--state", "ground", *obs])[0] == cli.EXIT_OK
+    assert sorted(texts) == sorted(o[len("--obs="):] for o in obs)
+
+
 def test_moment_above_the_cap_is_an_error(workdir):
     code, err = _main_err(["check", "--state", "ground", "--obs=q1^7", "--obs=p1"])
     assert code == cli.EXIT_USAGE

@@ -133,7 +133,7 @@ class TestMoyalBracket:
     def test_scaling_by_inverse_h_is_exact(self):
         # commutator coefficients sit at h^1; the bracket moves them to h^0
         br = moyal_bracket(Q, P)
-        assert br.coefficient((0, 0)) == ComplexSeries(ONE)
+        assert br.terms[(0, 0)] == ComplexSeries(ONE)
 
 
 class TestConjugation:
@@ -181,8 +181,8 @@ class TestAlgebraLaws:
 
     def test_scalar_coercion(self):
         f = Q * F(1, 2) + 1
-        assert f.coefficient((0, 0)) == ComplexSeries(ONE)
-        assert f.coefficient((1, 0)) == ComplexSeries(series([(0, F(1, 2))]))
+        assert f.terms[(0, 0)] == ComplexSeries(ONE)
+        assert f.terms[(1, 0)] == ComplexSeries(series([(0, F(1, 2))]))
 
 
 def test_observable_normalization_drops_exact_zeros():

@@ -10,7 +10,7 @@ from conftest import exact_series
 
 from dq.errors import ExprSyntaxError, IndexOutOfRange
 from dq.observables import constant, coordinate, observable
-from dq.parsing import infer_dof, parse_observable, parse_series
+from dq.parsing import parse_observable, parse_observables, parse_series
 from dq.series import ComplexSeries, HBAR, I_UNIT, ONE, h, rational, series
 
 
@@ -64,8 +64,8 @@ class TestObservableGrammar:
     def test_two_dof(self):
         f = parse_observable("q1^2 - p2", 2)
         assert f.d == 2
-        assert f.coefficient((2, 0, 0, 0)).re == ONE
-        assert f.coefficient((0, 0, 0, 1)).re == -ONE
+        assert f.terms[(2, 0, 0, 0)].re == ONE
+        assert f.terms[(0, 0, 0, 1)].re == -ONE
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -91,7 +91,7 @@ class TestObservableGrammar:
 
     def test_leading_negative_coefficient(self):
         f = parse_observable("-1*q1 + 2*p1")
-        assert f.coefficient((1, 0)).re == -ONE
+        assert f.terms[(1, 0)].re == -ONE
 
     def test_unary_minus(self):
         q, p = coordinate(1, "q", 1), coordinate(1, "p", 1)
@@ -116,9 +116,17 @@ class TestObservableGrammar:
         assert f == constant(1, -1)
 
     def test_infer_dof(self):
-        assert infer_dof("q1*p1") == 1
-        assert infer_dof("q2 + p3") == 3
-        assert infer_dof("1/2") == 1
+        assert parse_observable("q1*p1").d == 1
+        assert parse_observable("q2 + p3").d == 3
+        assert parse_observable("1/2").d == 1
+        assert [f.d for f in parse_observables(["q1", "p3 + 1", "2"])] == [3, 3, 3]
+
+    def test_character_errors_of_all_texts_come_first_without_d(self):
+        # without d every text is tokenized before any is parsed
+        with pytest.raises(ExprSyntaxError, match="unexpected character '\\$'"):
+            parse_observables(["q1 +", "p1 $"])
+        with pytest.raises(ExprSyntaxError, match="expected q<i>"):
+            parse_observables(["q1 +", "p1 $"], 1)
 
 
 class TestRoundTrips:
