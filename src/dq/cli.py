@@ -12,10 +12,10 @@ Write ``--obs=EXPR`` when an expression starts with ``-`` (``--obs=-2*q1``);
 ``--obs -2*q1`` reads ``-2*q1`` as an option.
 
 Exit codes: 0 all good, 1 usage/parse errors, 2 a relation was violated
-(a falsified inequality), 3 a sign or zero decision raised
-IndeterminateAtTruncation.  That exception is the only way to exit 3, and
-every input the CLI builds is exact and the checks do not truncate, so
-exit 3 marks a defect, not a precision the user can raise.
+(a falsified inequality), 3 a defect: IndeterminateAtTruncation from a
+sign or zero decision, or InternalConsistencyError from an internal check.
+Every input the CLI builds is exact and the checks do not truncate, so
+exit 3 never marks a precision the user can raise.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import DQError, ExprSyntaxError, IndeterminateAtTruncation
+from .errors import (
+    DQError, ExprSyntaxError, IndeterminateAtTruncation, InternalConsistencyError,
+)
 from .linalg import Relation
 from .parsing import parse_observables, parse_series
 from .series import ComplexSeries
@@ -37,7 +39,7 @@ from .uncertainty import RelationChecks, check_relations
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATED = 2
-EXIT_INDETERMINATE = 3
+EXIT_DEFECT = 3
 
 #: the status word of each relation in the output
 STATUS = {
@@ -118,12 +120,10 @@ def _cmd_relations(args) -> int:
     return _exit_from(checks)
 
 
-def _pretty_witness(witness) -> str:
-    return "[" + ", ".join(f"({c.re})+i*({c.im})" for c in witness) + "]"
-
-
-def _pretty_direction(direction) -> str:
-    return "[" + ", ".join(str(x) for x in direction) + "]"
+def _pretty(vector) -> str:
+    """A kernel vector: complex entries as (re)+i*(im), real ones as they print."""
+    items = (f"({x.re})+i*({x.im})" if isinstance(x, ComplexSeries) else str(x) for x in vector)
+    return "[" + ", ".join(items) + "]"
 
 
 def _render_check(args, checks: RelationChecks) -> None:
@@ -152,9 +152,9 @@ def _render_check(args, checks: RelationChecks) -> None:
         print(f"{name}: {STATUS[r.relation]}  lhs={r.lhs}  rhs={r.rhs}")
     print(f"intelligent: hr={flags['hr']} rs={flags['rs']}")
     if checks.witness is not None:
-        print(f"ideal witness: {_pretty_witness(checks.witness)}")
+        print(f"ideal witness: {_pretty(checks.witness)}")
     if checks.direction is not None:
-        print(f"ideal direction: {_pretty_direction(checks.direction)}")
+        print(f"ideal direction: {_pretty(checks.direction)}")
 
 
 def _render_intelligent(args, checks: RelationChecks) -> None:
@@ -171,9 +171,9 @@ def _render_intelligent(args, checks: RelationChecks) -> None:
     print(f"hr-intelligent: {checks.hr_intelligent}")
     print(f"rs-intelligent: {checks.rs_intelligent}")
     if checks.witness is not None:
-        print(f"witness: {_pretty_witness(checks.witness)}")
+        print(f"witness: {_pretty(checks.witness)}")
     if checks.direction is not None:
-        print(f"ideal direction: {_pretty_direction(checks.direction)}")
+        print(f"ideal direction: {_pretty(checks.direction)}")
 
 
 def _at_least_one(text: str, what: str) -> tuple[int, ...]:
@@ -274,7 +274,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except IndeterminateAtTruncation as exc:
         print(f"indeterminate at truncation: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
+        return EXIT_DEFECT
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
     except (DQError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

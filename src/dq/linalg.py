@@ -23,15 +23,18 @@ non-negative definite hermitian forms over any ordered field (det of the
 real part dominating det of the form and det of the skew part, Hadamard
 style products, trace bounds) into exact, reportable predicates.  Each
 takes the form's class as :func:`is_nonneg_definite` returns it, so a
-caller running several checks classifies the form once.
+caller running several checks classifies the form once.  Every report of
+the package, here and in :mod:`dq.uncertainty` and :mod:`dq.states`, is
+built by :func:`inequality`, the one verdict constructor: its relation is
+the sign of lhs - rhs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .errors import (
     DimensionTooSmall,
@@ -239,8 +242,7 @@ def _congruence(matrix, with_d: bool):
 # hermitian forms
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(NamedTuple):
     """n x n matrix with entries conj-symmetric across the diagonal."""
 
     entries: tuple[tuple[ComplexSeries, ...], ...]
@@ -333,8 +335,7 @@ class Relation(Enum):
     VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Exact comparison of a dominant side against a dominated side."""
 
     lhs: Series
@@ -350,8 +351,9 @@ _RELATION = {
 }
 
 
-def relation_of(lhs: Series, rhs: Series) -> Relation:
-    return _RELATION[decide_sign(lhs - rhs)]
+def inequality(lhs: Series, rhs: Series) -> InequalityReport:
+    """The report of lhs >= rhs, its relation decided by the sign of lhs - rhs."""
+    return InequalityReport(lhs, rhs, _RELATION[decide_sign(lhs - rhs)])
 
 
 def _require_nonneg(definiteness: Definiteness) -> None:
@@ -366,17 +368,14 @@ def check_robertson(form: HermitianForm, definiteness: Definiteness) -> Inequali
     strictly for positive definite ones, and both vanish together."""
     _require_nonneg(definiteness)
     a, b = split(form)
-    det_a = determinant(a)
-    det_b = determinant(b)
-    rel = relation_of(det_a, det_b)
-    note = ""
-    if rel is Relation.EQUAL and definiteness is Definiteness.POSITIVE_DEFINITE:
-        rel = Relation.VIOLATED
-        note = "positive definite form requires a strict inequality"
-    if decide_zero(det_a) and not decide_zero(det_b):
-        rel = Relation.VIOLATED
+    report = inequality(determinant(a), determinant(b))
+    if decide_zero(report.lhs) and not decide_zero(report.rhs):
         note = "det(a) = 0 must force det(b) = 0"
-    return InequalityReport(lhs=det_a, rhs=det_b, relation=rel, note=note)
+    elif report.relation is Relation.EQUAL and definiteness is Definiteness.POSITIVE_DEFINITE:
+        note = "positive definite form requires a strict inequality"
+    else:
+        return report
+    return report._replace(relation=Relation.VIOLATED, note=note)
 
 
 def _real_det(form: HermitianForm) -> Series:
@@ -393,19 +392,17 @@ def check_form_determinant_bound(
     real-part determinant vanishes or the form has no skew part."""
     _require_nonneg(definiteness)
     a, b = split(form)
-    det_a = determinant(a)
-    det_phi = _real_det(form)
-    rel = relation_of(det_a, det_phi)
-    expected_equal = decide_zero(det_a) or all(decide_zero(x) for row in b for x in row)
-    note = ""
-    if (rel is Relation.EQUAL) != expected_equal:
-        rel = Relation.VIOLATED
-        note = "equality diagnosis failed (expects det(a)=0 or skew part zero)"
-    return InequalityReport(lhs=det_a, rhs=det_phi, relation=rel, note=note)
+    report = inequality(determinant(a), _real_det(form))
+    expected_equal = decide_zero(report.lhs) or all(decide_zero(x) for row in b for x in row)
+    if (report.relation is Relation.EQUAL) == expected_equal:
+        return report
+    return report._replace(
+        relation=Relation.VIOLATED,
+        note="equality diagnosis failed (expects det(a)=0 or skew part zero)",
+    )
 
 
-@dataclass(frozen=True)
-class HadamardReport:
+class HadamardReport(NamedTuple):
     """The diagonal-product chain and its equality diagnoses."""
 
     product_vs_cov: InequalityReport
@@ -425,9 +422,9 @@ def check_hadamard_chain(form: HermitianForm, definiteness: Definiteness) -> Had
     det_a = determinant(a)
     det_b = determinant(b)
     det_phi = _real_det(form)
-    r1 = InequalityReport(product, det_a, relation_of(product, det_a))
-    r2 = InequalityReport(det_a, det_phi, relation_of(det_a, det_phi))
-    r3 = InequalityReport(det_a, det_b, relation_of(det_a, det_b))
+    r1 = inequality(product, det_a)
+    r2 = inequality(det_a, det_phi)
+    r3 = inequality(det_a, det_b)
 
     some_diag_zero = any(decide_zero(a[k][k]) for k in range(n))
     b_zero = all(decide_zero(x) for row in b for x in row)
@@ -435,11 +432,8 @@ def check_hadamard_chain(form: HermitianForm, definiteness: Definiteness) -> Had
     full_equality = r1.relation is Relation.EQUAL and r2.relation is Relation.EQUAL
     diag_ok = full_equality == (some_diag_zero or (b_zero and a_diagonal))
 
-    skew_equality = relation_of(product, det_b) is Relation.EQUAL
-    skew_case = some_diag_zero or (
-        a_diagonal and relation_of(det_b, det_a) is Relation.EQUAL
-    )
-    skew_ok = skew_equality == skew_case
+    skew_equality = decide_zero(product - det_b)
+    skew_ok = skew_equality == (some_diag_zero or (a_diagonal and decide_zero(det_b - det_a)))
     return HadamardReport(r1, r2, r3, diag_ok, skew_ok)
 
 
@@ -452,13 +446,11 @@ def trace_bounds(diagonal, b) -> tuple[InequalityReport, InequalityReport | None
         raise DimensionTooSmall("trace bounds need n >= 2")
     trace = sum(diagonal, ZERO)
     total = sum((abs(b[j][k]) for j in range(n) for k in range(j + 1, n)), ZERO)
-    general_rhs = Fraction(2, n - 1) * total
-    general = InequalityReport(trace, general_rhs, relation_of(trace, general_rhs))
+    general = inequality(trace, Fraction(2, n - 1) * total)
     pairing = None
     if n % 2 == 0:
         m = n // 2
-        rhs = 2 * sum((abs(b[j][m + j]) for j in range(m)), ZERO)
-        pairing = InequalityReport(trace, rhs, relation_of(trace, rhs))
+        pairing = inequality(trace, 2 * sum((abs(b[j][m + j]) for j in range(m)), ZERO))
     return general, pairing
 
 

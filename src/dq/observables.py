@@ -20,7 +20,8 @@ from math import factorial
 
 from .errors import DimensionMismatch, NotReal
 from .series import (
-    C_ONE, ComplexSeries, ZERO, _ccoerce, _frac_str, as_complex, decide_zero, series,
+    C_ONE, ComplexSeries, ZERO, _ccoerce, _mono_str, _signed_sum, as_complex, decide_zero,
+    series,
 )
 
 #: q-exponents for dof 1..d, then p-exponents for dof 1..d
@@ -64,7 +65,7 @@ class Observable:
     def __add__(self, other):
         if isinstance(other, Observable):
             _check_same_d(self, other)
-            return _collect(self.d, [*self.terms.items(), *other.terms.items()])
+            return _collect(self.d, other.terms.items(), self.terms)
         scalar = _ccoerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -124,45 +125,21 @@ class Observable:
         Raises ValueError when a coefficient carries a negative or
         fractional power of h, which the observable grammar cannot express.
         """
-        flat = []
-        for m, c in self.terms.items():
-            for e, coeff in c.re.terms:
-                flat.append((m, e, False, coeff))
-            for e, coeff in c.im.terms:
-                flat.append((m, e, True, coeff))
-        if not flat:
-            return "0"
-        flat.sort(key=lambda t: (sum(t[0]), t[0], t[1], t[2]))
-        parts = []
-        for m, e, imag, coeff in flat:
+        flat = sorted(
+            (sum(m), m, e, imag, coeff)
+            for m, c in self.terms.items()
+            for imag, part in ((False, c.re), (True, c.im))
+            for e, coeff in part.terms
+        )
+        names = [f"q{j + 1}" for j in range(self.d)] + [f"p{j + 1}" for j in range(self.d)]
+        terms = []
+        for _, m, e, imag, coeff in flat:
             if e < 0 or e.denominator != 1:
                 raise ValueError(f"h^{e} has no observable-grammar form")
-            pieces = []
-            mag = abs(coeff)
-            if e == 1:
-                pieces.append("h")
-            elif e != 0:
-                pieces.append(f"h^{e.numerator}")
-            if imag:
-                pieces.append("i")
-            for j in range(self.d):
-                if m[j] == 1:
-                    pieces.append(f"q{j + 1}")
-                elif m[j] > 1:
-                    pieces.append(f"q{j + 1}^{m[j]}")
-            for j in range(self.d):
-                if m[self.d + j] == 1:
-                    pieces.append(f"p{j + 1}")
-                elif m[self.d + j] > 1:
-                    pieces.append(f"p{j + 1}^{m[self.d + j]}")
-            if mag != 1 or not pieces:
-                pieces.insert(0, _frac_str(mag))
-            body = "*".join(pieces)
-            if not parts:
-                parts.append(body if coeff > 0 else _negated_first(pieces))
-            else:
-                parts.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-        return "".join(parts)
+            factors = [_mono_str(e), "i" if imag else ""]
+            factors += [name if k == 1 else f"{name}^{k}" for name, k in zip(names, m) if k]
+            terms.append((coeff, "*".join(filter(None, factors))))
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         try:
@@ -171,21 +148,15 @@ class Observable:
             return f"Observable[d={self.d}: {len(self.terms)} terms]"
 
 
-def _negated_first(pieces: list[str]) -> str:
-    head = pieces[0]
-    if head[0].isdigit():
-        return "-" + "*".join(pieces)
-    return "*".join(["-1"] + pieces)
-
-
 def _check_same_d(f: Observable, g: Observable):
     if f.d != g.d:
         raise DimensionMismatch(f"observables live on d={f.d} and d={g.d}")
 
 
-def _collect(d: int, terms) -> Observable:
-    """The observable that sums (monomial, coefficient) pairs, zero terms dropped."""
-    acc: dict[Monomial, ComplexSeries] = {}
+def _collect(d: int, terms, start=()) -> Observable:
+    """The observable that sums (monomial, coefficient) pairs onto the terms
+    of ``start`` (a dict, for a sum), zero terms dropped."""
+    acc: dict[Monomial, ComplexSeries] = dict(start)
     for m, c in terms:
         if m in acc:
             acc[m] += c

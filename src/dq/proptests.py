@@ -12,8 +12,8 @@ at these sizes already are a minimal reproduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .linalg import (
@@ -64,13 +64,12 @@ from .states import (
 from .uncertainty import check_relations
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     trials: int
     seed: int
-    dims: tuple[int, ...] | None = None
-    failures: list[str] = field(default_factory=list)
+    dims: tuple[int, ...] | None
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -525,7 +524,7 @@ def run_suite(name: str, trials: int, seed: int, dims=None) -> SuiteReport:
         dims = tuple(dims) if dims else (2, 3, 4, 5)
         if min(dims) < least:
             raise ValueError(f"the {name} suite needs dimensions >= {least}")
-    rep = SuiteReport(name, trials, seed, dims)
+    rep = SuiteReport(name, trials, seed, dims, [])
     for trial in trial_fns:
         rng = random.Random(seed)
         for t in range(trials):

@@ -33,6 +33,8 @@ zero, whatever the other factor.  Every product by an exact monomial or an
 ``Series._monomial_mul``; only the other products reach the product loop.
 The layout is private to this module; :attr:`Series.terms` gives the
 ``(exponent, coefficient)`` pairs as ``Fraction`` for printing and tests.
+Series and observables print through one signed-term printer,
+``_signed_sum``.
 
 The companion :class:`ComplexSeries` is the complexification, a pair of
 real series with ``i^2 = -1``.
@@ -380,25 +382,7 @@ class Series:
 
     def literal(self) -> str:
         """Canonical literal, parseable by :func:`dq.parsing.parse_series`."""
-        if not self._nums:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.terms:
-            mono = _mono_str(e)
-            mag = _frac_str(abs(c))
-            if mono is None:
-                body = mag
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                if c < 0:
-                    body = f"-{mag}*{mono}" if mono is not None else f"-{mag}"
-                parts.append(body)
-            else:
-                parts.append(f"{' - ' if c < 0 else ' + '}{body}")
-        return "".join(parts)
+        return _signed_sum((c, _mono_str(e)) for e, c in self.terms)
 
     def __str__(self) -> str:
         return self.literal()
@@ -445,9 +429,27 @@ def _monomial(exponent: Fraction, coefficient: Fraction) -> Series:
     )
 
 
-def _mono_str(e: Fraction) -> str | None:
+def _signed_sum(terms) -> str:
+    """The sum of (nonzero Fraction, ``*``-joined factors or "") pairs as
+    text.  A magnitude 1 is left out before factors, except on a negative
+    first term, written ``-1*factors``; no terms print as ``0``."""
+    parts = []
+    for c, factors in terms:
+        mag = _frac_str(abs(c))
+        if factors and (mag != "1" or (c < 0 and not parts)):
+            body = f"{mag}*{factors}"
+        else:
+            body = factors or mag
+        if parts:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return "".join(parts) or "0"
+
+
+def _mono_str(e: Fraction) -> str:
     if e == 0:
-        return None
+        return ""
     if e == 1:
         return "h"
     if e.denominator == 1:

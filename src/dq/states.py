@@ -41,8 +41,8 @@ from .linalg import (
     InequalityReport,
     _congruence,
     hermitian_form,
+    inequality,
     is_nonneg_definite,
-    relation_of,
 )
 from .observables import Observable, constant, observable, require_real, star
 from .series import (
@@ -252,10 +252,8 @@ def cauchy_schwarz_check(
     The report's lhs is the dominant product side, rhs the squared modulus,
     so Violated keeps its usual meaning (dominant side smaller).
     """
-    cross = state.expectation(star(f.conj(), g))
-    rhs = cross.abs2()
-    lhs = gelfand_norm(state, f) * gelfand_norm(state, g)
-    return InequalityReport(lhs=lhs, rhs=rhs, relation=relation_of(lhs, rhs))
+    rhs = state.expectation(star(f.conj(), g)).abs2()
+    return inequality(gelfand_norm(state, f) * gelfand_norm(state, g), rhs)
 
 
 # ---------------------------------------------------------------------------

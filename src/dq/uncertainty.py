@@ -28,9 +28,9 @@ path, so at saturation it checks the pairing at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .errors import DimensionTooSmall, InternalConsistencyError, SingularTransform
 from .linalg import (
@@ -40,9 +40,9 @@ from .linalg import (
     Relation,
     determinant,
     hermitian_form,
+    inequality,
     is_nonneg_definite,
     kernel,
-    relation_of,
     split,
     trace_bounds,
 )
@@ -51,8 +51,7 @@ from .series import I_UNIT, ONE, Series, as_complex, decide_zero, dot
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
 
-@dataclass(frozen=True)
-class MomentMatrices:
+class MomentMatrices(NamedTuple):
     """Star-moment matrix of the deviations and its real split."""
 
     phi: HermitianForm
@@ -62,8 +61,7 @@ class MomentMatrices:
     devs: tuple[Observable, ...]
 
 
-@dataclass(frozen=True)
-class RelationChecks:
+class RelationChecks(NamedTuple):
     """Every relation check on one observable set, with its witnesses.
 
     ``reports`` pairs each relation name with its report, in the order RS,
@@ -112,9 +110,7 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
 
 
 def _rs_report(mm: MomentMatrices) -> InequalityReport:
-    det_a = determinant(mm.a)
-    det_b = determinant(mm.b)
-    return InequalityReport(det_a, det_b, relation_of(det_a, det_b))
+    return inequality(determinant(mm.a), determinant(mm.b))
 
 
 def check_relations(state: GaussianState, xs) -> RelationChecks:
@@ -136,8 +132,7 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
     mm = moment_matrices(state, xs)
     n = len(mm.variances)
     rs = _rs_report(mm)
-    product = prod(mm.variances, start=ONE)
-    hr = InequalityReport(product, rs.rhs, relation_of(product, rs.rhs))
+    hr = inequality(prod(mm.variances, start=ONE), rs.rhs)
     hr_intelligent = hr.relation is Relation.EQUAL
     rs_intelligent = rs.relation is Relation.EQUAL
     if hr_intelligent and not rs_intelligent:
@@ -155,7 +150,7 @@ def check_relations(state: GaussianState, xs) -> RelationChecks:
         det_phi = determinant(mm.phi.entries)
         if not decide_zero(det_phi.im) or det_phi.re != lhs - rhs:
             raise InternalConsistencyError("two-observable gap must equal det(phi)")
-        reports.append(("TwoObs", InequalityReport(lhs, rhs, relation_of(lhs, rhs))))
+        reports.append(("TwoObs", inequality(lhs, rhs)))
         if decide_zero(det_phi.re):
             basis = kernel(mm.phi.entries)
             if not basis:
@@ -177,8 +172,7 @@ def _require_in_ideal(state: GaussianState, mm: MomentMatrices, coeffs, message:
         raise InternalConsistencyError(message)
 
 
-@dataclass(frozen=True)
-class AnnihilatorResult:
+class AnnihilatorResult(NamedTuple):
     """Outcome of the sufficient saturation condition for 2m observables."""
 
     norms: tuple[Series, ...]

@@ -165,6 +165,19 @@ def test_malformed_state_file_is_a_usage_error(workdir, body):
     assert err.startswith("error: ")
 
 
+def test_internal_consistency_error_exits_as_a_defect(monkeypatch):
+    # InternalConsistencyError subclasses DQError, whose exit is a usage error
+    from dq.errors import InternalConsistencyError
+
+    def fail(state, xs):
+        raise InternalConsistencyError("kernel witness must lie in the ideal")
+
+    monkeypatch.setattr(cli, "check_relations", fail)
+    code, err = _main_err(["check", "--state", "ground", "--obs=q1", "--obs=p1"])
+    assert code == cli.EXIT_DEFECT == 3
+    assert err == "internal error: kernel witness must lie in the ideal\n"
+
+
 @pytest.mark.parametrize("dims", [("--dims", "0"), ("--dims", "-1"), ("--dims=2,0",)], ids=" ".join)
 def test_proptest_dimension_below_one_is_a_usage_error(dims):
     assert _main_err(["proptest", "robertson", "--trials", "2", *dims])[0] == cli.EXIT_USAGE

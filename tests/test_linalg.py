@@ -28,9 +28,9 @@ from dq.linalg import (
     gram_form,
     hermitian_form,
     hermitian_quadratic,
+    inequality,
     is_nonneg_definite,
     kernel,
-    relation_of,
     split,
 )
 from dq.proptests import classify_gram, rand_gram
@@ -139,9 +139,9 @@ class TestDeterminant:
             lambda: kernel([[BLUR, ONE], [BLUR, ONE + HBAR]]),
             lambda: congruence_diagonalize([[BLUR, ONE], [ONE, ONE]]),
             lambda: hermitian_form([[ONE, BLUR], [ZERO, ONE]]),
-            lambda: relation_of(ONE + BLUR, ONE),
+            lambda: inequality(ONE + BLUR, ONE),
         ],
-        ids=["determinant", "kernel", "congruence_diagonalize", "hermitian_form", "relation_of"],
+        ids=["determinant", "kernel", "congruence_diagonalize", "hermitian_form", "inequality"],
     )
     def test_indeterminate_pivot_raises(self, decide):
         with pytest.raises(IndeterminateAtTruncation):

@@ -19,7 +19,6 @@ lines:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -73,9 +72,7 @@ def _patch(mp: pytest.MonkeyPatch, streams: list, stars: list) -> None:
     mp.setattr(
         proptests,
         "check_robertson",
-        lambda form, cls: dataclasses.replace(
-            real_robertson(form, cls), relation=Relation.VIOLATED
-        ),
+        lambda form, cls: real_robertson(form, cls)._replace(relation=Relation.VIOLATED),
     )
 
 

@@ -15,6 +15,7 @@ from dq.errors import (
     NotPositive,
 )
 from dq.observables import coordinate, observable
+from dq.parsing import parse_observable
 from dq.series import (
     HBAR,
     INF,
@@ -401,3 +402,23 @@ def test_product_truncation_window():
     # a truncated factor is amplified by the other factor's valuation
     c = series({-2: 5}, trunc=3)
     assert (c * c).trunc == 1
+
+
+# Series.literal and Observable.literal print through one signed-term
+# printer; these are the forms the golden files do not reach
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (h(1, -1), "-1*h"),
+        (series([(0, -1)]), "-1"),
+        (h(F(1, 2), F(-3, 2)), "-3/2*h^(1/2)"),
+        (series([(0, 1), (1, -1), (F(-8, 5), F(1, 4))]), "1/4*h^(-8/5) + 1 - h"),
+        (series([]), "0"),
+        (parse_observable("-q1"), "-1*q1"),
+        (parse_observable("2/3*q1*p2 - h^2*i"), "-1*h^2*i + 2/3*q1*p2"),
+        (parse_observable("-h*i*q1^2*p1 + 3"), "3 - h*i*q1^2*p1"),
+        (parse_observable("0*q1"), "0"),
+    ],
+)
+def test_printed_form(value, text):
+    assert value.literal() == text
