@@ -18,13 +18,14 @@ returns ``D`` with ``D^H S D`` diagonal; the inertia read off that diagonal
 classifies hermitian forms without leaving the field.  The inertia test
 builds ``D`` only for an indefinite form, whose witness is a column of it.
 
-The check_* functions turn the determinant inequalities satisfied by
+The check_* functions report the determinant inequalities satisfied by
 non-negative definite hermitian forms over any ordered field (det of the
 real part dominating det of the form and det of the skew part, Hadamard
-style products, trace bounds) into exact, reportable predicates.  Each
-takes the form's class as :func:`is_nonneg_definite` returns it, so a
-caller running several checks classifies the form once.  Every report of
-the package, here and in :mod:`dq.uncertainty` and :mod:`dq.states`, is
+style products, trace bounds) exactly.  They report the inequality only;
+the Gram suites of :mod:`dq.proptests` assert the equality
+characterizations, except the Hadamard chain's two flags.  Each takes the
+form's class as :func:`is_nonneg_definite` returns it, so a caller running
+several checks classifies the form once.  Every report of the package is
 built by :func:`inequality`, the one verdict constructor: its relation is
 the sign of lhs - rhs.
 """
@@ -253,6 +254,9 @@ class HermitianForm(NamedTuple):
 
 
 def hermitian_form(rows) -> HermitianForm:
+    """The validated form of rows from outside: square, real diagonal, conjugate
+    across it.  The forms the package builds hermitian (moments, the quantum
+    condition, Gram forms) are constructed as :class:`HermitianForm` directly."""
     entries = tuple(tuple(as_complex(x) for x in row) for row in rows)
     n = len(entries)
     if any(len(row) != n for row in entries):
@@ -279,7 +283,7 @@ def gram_form(rows) -> HermitianForm:
     gh = [[x.conj() for x in row] for row in g]
     m, n = len(g), len(g[0])
     ent = [[dot((gh[r][j], g[r][k]) for r in range(m)) for k in range(n)] for j in range(n)]
-    return hermitian_form(ent)
+    return HermitianForm(tuple(map(tuple, ent)))
 
 
 def hermitian_quadratic(form: HermitianForm, v) -> ComplexSeries:
@@ -341,7 +345,6 @@ class InequalityReport(NamedTuple):
     lhs: Series
     rhs: Series
     relation: Relation
-    note: str = ""
 
 
 _RELATION = {
@@ -367,15 +370,7 @@ def check_robertson(form: HermitianForm, definiteness: Definiteness) -> Inequali
     """det(real part) dominates det(skew part) for non-negative forms;
     strictly for positive definite ones, and both vanish together."""
     _require_nonneg(definiteness)
-    a, b = split(form)
-    report = inequality(determinant(a), determinant(b))
-    if decide_zero(report.lhs) and not decide_zero(report.rhs):
-        note = "det(a) = 0 must force det(b) = 0"
-    elif report.relation is Relation.EQUAL and definiteness is Definiteness.POSITIVE_DEFINITE:
-        note = "positive definite form requires a strict inequality"
-    else:
-        return report
-    return report._replace(relation=Relation.VIOLATED, note=note)
+    return inequality(*(determinant(m) for m in split(form)))
 
 
 def _real_det(form: HermitianForm) -> Series:
@@ -391,15 +386,7 @@ def check_form_determinant_bound(
     """det(real part) dominates det(form), with equality exactly when the
     real-part determinant vanishes or the form has no skew part."""
     _require_nonneg(definiteness)
-    a, b = split(form)
-    report = inequality(determinant(a), _real_det(form))
-    expected_equal = decide_zero(report.lhs) or all(decide_zero(x) for row in b for x in row)
-    if (report.relation is Relation.EQUAL) == expected_equal:
-        return report
-    return report._replace(
-        relation=Relation.VIOLATED,
-        note="equality diagnosis failed (expects det(a)=0 or skew part zero)",
-    )
+    return inequality(determinant(split(form)[0]), _real_det(form))
 
 
 class HadamardReport(NamedTuple):

@@ -292,12 +292,10 @@ def trial_robertson(rng: random.Random, t: int, dims):
         yield f"{ctx} positive definite but not strict"
     if n % 2 == 1 and not decide_zero(r.rhs):
         yield f"{ctx} odd n needs det(b)=0, got {r.rhs}"
-    if singular:
-        # a real kernel direction of G kills both determinants exactly
-        if not decide_zero(r.lhs):
-            yield f"{ctx} crafted singular but det(a)={r.lhs}"
-        elif not decide_zero(r.rhs):
-            yield f"{ctx} det(a)=0 but det(b)={r.rhs}"
+    if singular and not decide_zero(r.lhs):  # a real kernel of G makes both dets 0
+        yield f"{ctx} crafted singular but det(a)={r.lhs}"
+    elif decide_zero(r.lhs) and not decide_zero(r.rhs):
+        yield f"{ctx} det(a)=0 but det(b)={r.rhs}"
 
 
 def _crafted_equality_form(rng: random.Random, n: int, kind: int, scalar: str):
@@ -335,10 +333,12 @@ def trial_hadamard(rng: random.Random, t: int, dims):
     ctx = f"trial={t} n={n} scalar={scalar}{' crafted' if crafted else ''}"
     cls = classify_gram(form)
     lemma = check_form_determinant_bound(form, cls)
-    if lemma.relation is Relation.VIOLATED:
-        yield f"{ctx} det(a) vs det(phi): {lemma.relation.value} {lemma.note}"
+    no_skew = all(decide_zero(x.im) for row in form.entries for x in row)
+    if (lemma.relation is Relation.EQUAL) != (decide_zero(lemma.lhs) or no_skew):
+        yield f"{ctx} det(a)=det(phi) iff det(a)=0 or b=0 fails: {lemma.relation.value}"
     chain = check_hadamard_chain(form, cls)
     for label, link in (
+        ("det(a) vs det(phi)", lemma),
         ("prod vs det(a)", chain.product_vs_cov),
         ("det(a) vs det(phi)", chain.cov_vs_form),
         ("det(a) vs det(b)", chain.cov_vs_skew),

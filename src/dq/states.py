@@ -38,9 +38,9 @@ from .errors import (
 )
 from .linalg import (
     Definiteness,
+    HermitianForm,
     InequalityReport,
     _congruence,
-    hermitian_form,
     inequality,
     is_nonneg_definite,
 )
@@ -111,9 +111,9 @@ class GaussianState:
         self._check_admissibility(cross)
 
     def _check_admissibility(self, cross):
-        # quantum condition for every d: cov + (i h/2) J is non-negative
-        # definite (Simon, Mukunda and Dutta 1994)
-        cls, v = is_nonneg_definite(hermitian_form(cross))
+        # quantum condition for every d: cov + (i h/2) J, hermitian as cov is
+        # symmetric, is non-negative definite (Simon, Mukunda and Dutta 1994)
+        cls, v = is_nonneg_definite(HermitianForm(cross))
         if cls is not Definiteness.INDEFINITE:
             return
         # classical requirement: the covariance is non-negative definite

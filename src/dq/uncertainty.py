@@ -39,14 +39,13 @@ from .linalg import (
     InequalityReport,
     Relation,
     determinant,
-    hermitian_form,
     inequality,
     is_nonneg_definite,
     kernel,
     split,
     trace_bounds,
 )
-from .observables import Observable, require_real
+from .observables import Observable
 from .series import I_UNIT, ONE, Series, as_complex, decide_zero, dot
 from .states import GaussianState, deviation, gelfand_norm, in_gelfand_ideal
 
@@ -89,13 +88,12 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
     star path, and b against the brackets, are checked in tier-1
     (tests/test_states.py); at run time the Gel'fand-ideal membership of
     the witnesses, which goes through the star path, checks phi at
-    saturation.
+    saturation.  :func:`~dq.states.deviation` refuses a non-real observable;
+    a variance phi_jj that is not real is a defect (InternalConsistencyError).
     """
     xs = list(xs)
     if not xs:
         raise DimensionTooSmall("need at least one observable")
-    for x in xs:
-        require_real(x)
     n = len(xs)
     devs = [deviation(state, x) for x in xs]
     phi = [[None] * n for _ in range(n)]
@@ -104,7 +102,9 @@ def moment_matrices(state: GaussianState, xs) -> MomentMatrices:
             phi[j][k] = phi[k][j].conj()
         for k in range(j, n):
             phi[j][k] = state.star_expectation(devs[j], devs[k])
-    form = hermitian_form(phi)
+        if not decide_zero(phi[j][j].im):
+            raise InternalConsistencyError(f"variance {j} has imaginary part {phi[j][j].im}")
+    form = HermitianForm(tuple(map(tuple, phi)))
     a, b = split(form)
     return MomentMatrices(form, a, b, tuple(a[j][j] for j in range(n)), tuple(devs))
 

@@ -178,6 +178,49 @@ def test_internal_consistency_error_exits_as_a_defect(monkeypatch):
     assert err == "internal error: kernel witness must lie in the ideal\n"
 
 
+def test_non_real_variance_exits_as_a_defect(monkeypatch):
+    # moment_matrices builds phi without the validator; a variance with an
+    # imaginary part is a fault of the program, not of the input
+    from dq.series import ComplexSeries, HBAR, ZERO
+    from dq.states import GaussianState
+
+    real = GaussianState.star_expectation
+
+    def skewed(self, f, g):
+        value = real(self, f, g)
+        return value + ComplexSeries(ZERO, HBAR) if f is g else value
+
+    monkeypatch.setattr(GaussianState, "star_expectation", skewed)
+    code, err = _main_err(["check", "--state", "ground", "--obs=q1", "--obs=p1"])
+    assert code == cli.EXIT_DEFECT
+    assert err.startswith("internal error: ")
+
+
+def test_field_eval_json(workdir):
+    out = '{"series": "1/2*h + h^2"}\n'
+    assert _main(["field", "eval", "1/2*h+h^2", "--json"]) == (cli.EXIT_OK, out)
+
+
+def test_star_json(workdir):
+    out = '{"d": 1, "star": "1/2*h*i + q1*p1"}\n'
+    assert _main(["star", "q1", "p1", "--json"]) == (cli.EXIT_OK, out)
+
+
+def test_state_of_another_dimension_is_a_usage_error(workdir):
+    code, err = _main_err(["check", "--state", "mean_state.json", "--obs=q2"])
+    assert code == cli.EXIT_USAGE
+    assert err == "error: state has d=1 but observables need d=2\n"
+
+
+def test_unknown_state_is_a_usage_error(workdir):
+    code, err = _main_err(["check", "--state", "nosuch", "--obs=q1"])
+    assert code == cli.EXIT_USAGE
+    assert err == (
+        "error: unknown state 'nosuch': use ground, squeezed:<s>, correlated:<series>,"
+        " or a JSON file path\n"
+    )
+
+
 @pytest.mark.parametrize("dims", [("--dims", "0"), ("--dims", "-1"), ("--dims=2,0",)], ids=" ".join)
 def test_proptest_dimension_below_one_is_a_usage_error(dims):
     assert _main_err(["proptest", "robertson", "--trials", "2", *dims])[0] == cli.EXIT_USAGE

@@ -283,6 +283,15 @@ class TestDefiniteness:
             assert cls is not Definiteness.INDEFINITE
             assert cls is classify_gram(form)
 
+    def test_gram_forms_pass_the_validator(self):
+        # gram_form builds its form hermitian without validating it
+        rng = random.Random(11)
+        for t in range(20):
+            n = 1 + t % 4
+            scalar = ("rational", "series")[t // 4 % 2]
+            form = rand_gram(rng, n, scalar, singular=t % 3 == 2)
+            assert hermitian_form(form.entries) == form
+
     def test_hermitian_violation(self):
         with pytest.raises(HermitianViolation):
             hermitian_form([[1, I1], [I1, 1]])

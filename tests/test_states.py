@@ -14,11 +14,14 @@ import sympy as sp
 from dq import states
 from dq.errors import AdmissibilityWarning, InternalConsistencyError, MomentDegreeExceeded
 from dq.observables import moyal_bracket, observable, star
+from dq.linalg import HermitianForm, hermitian_form
+from dq.proptests import rand_admissible_state, rand_real_observable
 from dq.series import ComplexSeries, ZERO, h, series
 from dq.states import (
     HALF_H,
     MOMENT_CAP,
     GaussianState,
+    _cross_covariance,
     correlated,
     gelfand_norm,
     ground,
@@ -87,6 +90,30 @@ def test_admissible_states_do_not_warn(make):
 def test_negative_covariance_is_rejected():
     with pytest.raises(ValueError, match="not non-negative definite"):
         _diagonal_state(h(1, -1), h(1, F(1, 2)))
+
+
+@pytest.mark.filterwarnings("ignore::dq.errors.AdmissibilityWarning")
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ground(2), lambda: squeezed(3, 2), lambda: correlated(h(1, F(1, 4)))],
+    ids=["ground(2)", "squeezed(3, 2)", "correlated(1/4*h)"],
+)
+def test_the_quantum_condition_form_passes_the_validator(make):
+    # the admissibility test builds cov + (i h/2) J hermitian without validating it
+    state = make()
+    form = HermitianForm(_cross_covariance(state.cov, state.d))
+    assert hermitian_form(form.entries) == form
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_moment_forms_pass_the_validator(d):
+    # moment_matrices builds phi hermitian without validating it
+    rng = random.Random(40 + d)
+    for _ in range(5):
+        state = rand_admissible_state(rng, d)
+        xs = [rand_real_observable(rng, d) for _ in range(rng.randint(1, 3))]
+        phi = moment_matrices(state, xs).phi
+        assert hermitian_form(phi.entries) == phi
 
 
 # ---------------------------------------------------------------------------
