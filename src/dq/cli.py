@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import Relation
 from .parsing import parse_observables, parse_series
-from .series import ComplexSeries
+from .series import ComplexSeries, as_complex
 from .states import GaussianState, correlated, ground, load_state, squeezed
 from .uncertainty import RelationChecks, check_relations
 
@@ -67,13 +67,7 @@ def _resolve_state(spec: str, d: int) -> GaussianState:
 def _witness_json(witness):
     if witness is None:
         return None
-    out = []
-    for entry in witness:
-        if isinstance(entry, ComplexSeries):
-            out.append({"re": entry.re.literal(), "im": entry.im.literal()})
-        else:
-            out.append({"re": entry.literal(), "im": "0"})
-    return out
+    return [{"re": x.re.literal(), "im": x.im.literal()} for x in map(as_complex, witness)]
 
 
 def _exit_from(checks: RelationChecks) -> int:
@@ -176,26 +170,12 @@ def _render_intelligent(args, checks: RelationChecks) -> None:
         print(f"ideal direction: {_pretty(checks.direction)}")
 
 
-def _at_least_one(text: str, what: str) -> tuple[int, ...]:
-    """Comma-separated integers, each at least 1; ``what`` names them in the error."""
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        values = ()
-    if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-    return values
-
-
 def _dims(text: str) -> tuple[int, ...]:
-    """The --dims value: comma-separated dimensions, each at least 1."""
-    return _at_least_one(text, "dimensions >= 1 like 2,3")
-
-
-def _trials(text: str) -> int:
-    """The --trials value: one trial count of at least 1."""
-    (trials,) = _at_least_one(text, "a trial count >= 1")
-    return trials
+    """The --dims value: comma-separated integers; ``run_suite`` bounds them."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers like 2,3, got {text!r}") from None
 
 
 def _cmd_proptest(args) -> int:
@@ -254,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prop = sub.add_parser("proptest", help="randomized law suites")
     p_prop.add_argument("suite", help="suite name; an unknown name lists the suites")
-    p_prop.add_argument("--trials", type=_trials, default=200)
+    p_prop.add_argument("--trials", type=int, default=200)
     p_prop.add_argument("--seed", type=int, default=0)
     p_prop.add_argument("--dims", type=_dims, default=None, help="comma-separated sizes")
     p_prop.set_defaults(func=_cmd_proptest)

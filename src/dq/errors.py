@@ -30,7 +30,7 @@ class PreconditionViolated(DQError):
 
 
 class DimensionTooSmall(DQError):
-    """The check needs at least two observables/rows."""
+    """Too few or an odd number of observables or rows for the check."""
 
 
 class DimensionMismatch(DQError):

@@ -105,23 +105,28 @@ def _parse_integer(c: _Cursor) -> int:
     return -_parse_unsigned_int(c) if neg else _parse_unsigned_int(c)
 
 
+def _parse_denominator(c: _Cursor) -> int:
+    """The integer after a '/'; a zero is reported at its own position."""
+    at = c.i
+    den = _parse_unsigned_int(c)
+    if not den:
+        c.i = at
+        c.fail("zero denominator")
+    return den
+
+
 def _parse_rational(c: _Cursor) -> Fraction:
     if c.accept("("):
         num = _parse_integer(c)
         if not c.accept("/"):
             c.fail("expected '/' in parenthesized rational")
-        den = _parse_unsigned_int(c)
-        if den == 0:
-            c.fail("zero denominator")
+        den = _parse_denominator(c)
         if not c.accept(")"):
             c.fail("expected ')'")
         return Fraction(num, den)
     num = _parse_integer(c)
     if c.accept("/"):
-        den = _parse_unsigned_int(c)
-        if den == 0:
-            c.fail("zero denominator")
-        return Fraction(num, den)
+        return Fraction(num, _parse_denominator(c))
     return Fraction(num)
 
 
@@ -202,11 +207,11 @@ def _parse_atom(c: _Cursor, d: int) -> Observable:
 def _parse_pow(c: _Cursor, d: int) -> Observable:
     base = _parse_atom(c, d)
     if c.accept("^"):
-        if c.cur.kind != "num":
-            c.fail("expected a positive integer exponent")
-        k = int(c.advance().text)
+        tok = c.cur
+        k = int(tok.text) if tok.kind == "num" else 0
         if k < 1:
             c.fail("expected a positive integer exponent")
+        c.advance()
         return base ** k
     return base
 

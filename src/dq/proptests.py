@@ -515,8 +515,13 @@ SIZED_SUITES = tuple(name for name, (_, least) in _TABLE.items() if least is not
 
 
 def run_suite(name: str, trials: int, seed: int, dims=None) -> SuiteReport:
+    """Run ``trials`` >= 1 trials of each trial function of the suite from
+    ``seed``.  A sized suite takes ``dims`` (by default 2, 3, 4, 5), none
+    below its least dimension; an unsized suite takes none."""
     if name not in _TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if trials < 1:
+        raise ValueError(f"expected a trial count >= 1, got {trials}")
     trial_fns, least = _TABLE[name]
     if least is None and dims is not None:
         raise ValueError(f"the {name} suite takes no dimensions")

@@ -40,7 +40,6 @@ from .linalg import (
     Definiteness,
     HermitianForm,
     InequalityReport,
-    _congruence,
     inequality,
     is_nonneg_definite,
 )
@@ -117,10 +116,9 @@ class GaussianState:
         if cls is not Definiteness.INDEFINITE:
             return
         # classical requirement: the covariance is non-negative definite
-        _, diag = _congruence(self.cov, False)
-        for entry in diag:
-            if decide_sign(entry) is Sign.NEGATIVE:
-                raise ValueError("covariance matrix is not non-negative definite")
+        cov = HermitianForm(tuple(tuple(map(ComplexSeries, row)) for row in self.cov))
+        if is_nonneg_definite(cov)[0] is Definiteness.INDEFINITE:
+            raise ValueError("covariance matrix is not non-negative definite")
         # v^H (cov + (i h/2) J) v < 0 is rho(conj(f) * f) for
         # f = sum_j v_j (xi_j - mu_j); the star path re-derives it
         n = 2 * self.d
@@ -164,13 +162,14 @@ class GaussianState:
         """E[Z_a Z_b ...] of the doubled Gaussian over the sorted index
         multiset ``idxs``: index j < 2d is X_j and 2d + j is Y_j.
 
-        A moment of X alone is real, and a mixed one is complex.  A moment
-        of Y alone is the same moment of X, looked up under the X indices.
-        Otherwise the first index is an X index, and its partners come in
-        the sorted order of ``idxs``: the X partners through cov, then the
-        Y partners through the cross block.  A partner whose entry is the
-        exact zero is skipped.  The mean term and the partner terms are one
-        :func:`~dq.series.dot`.
+        A moment of X alone is a Series; a mixed one is what
+        :func:`~dq.series.dot` returns, complex once a cross-block entry
+        enters it.  A moment of Y alone is the same moment of X, looked up
+        under the X indices.  Otherwise the first index is an X index, and
+        its partners come in the sorted order of ``idxs``: the X partners
+        through cov, then the Y partners through the cross block.  A partner
+        whose entry is the exact zero is skipped.  The mean term and the
+        partner terms are one :func:`~dq.series.dot`.
         """
         if not idxs:
             return ONE
@@ -193,8 +192,6 @@ class GaussianState:
             sab = row[b] if mult == 1 else mult * row[b]
             pairs.append((sab, self._moment(rest[:pos] + rest[pos + 1 :])))
         total = dot(pairs)
-        if idxs[-1] >= n and type(total) is Series:
-            total = ComplexSeries(total)
         self._central_cache[idxs] = total
         return total
 

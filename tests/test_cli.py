@@ -15,10 +15,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dq import cli
+from dq.errors import AdmissibilityWarning
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -154,8 +158,9 @@ def _main_err(argv):
         {"mean": ["0", "0"], "cov": [["1/2*h", "0"], ["0", "1/2*h"]]},
         [1, ["0", "0"]],
         {"d": 1, "mean": [0, 0], "cov": [["1/2*h", "0"], ["0", "1/2*h"]]},
+        {"d": 2, "mean": ["0", "0"], "cov": [["1/2*h", "0"], ["0", "1/2*h"]]},
     ],
-    ids=["no d", "top-level list", "numeric mean"],
+    ids=["no d", "top-level list", "numeric mean", "mean of another d"],
 )
 def test_malformed_state_file_is_a_usage_error(workdir, body):
     with open("bad.json", "w", encoding="utf-8") as fh:
@@ -176,6 +181,18 @@ def test_internal_consistency_error_exits_as_a_defect(monkeypatch):
     code, err = _main_err(["check", "--state", "ground", "--obs=q1", "--obs=p1"])
     assert code == cli.EXIT_DEFECT == 3
     assert err == "internal error: kernel witness must lie in the ideal\n"
+
+
+def test_indeterminate_at_truncation_exits_as_a_defect(monkeypatch):
+    from dq.errors import IndeterminateAtTruncation
+
+    def fail(state, xs):
+        raise IndeterminateAtTruncation("sign of O(h^2) is not decided")
+
+    monkeypatch.setattr(cli, "check_relations", fail)
+    code, err = _main_err(["check", "--state", "ground", "--obs=q1", "--obs=p1"])
+    assert code == cli.EXIT_DEFECT == 3
+    assert err == "indeterminate at truncation: sign of O(h^2) is not decided\n"
 
 
 def test_non_real_variance_exits_as_a_defect(monkeypatch):
@@ -221,17 +238,23 @@ def test_unknown_state_is_a_usage_error(workdir):
     )
 
 
-@pytest.mark.parametrize("dims", [("--dims", "0"), ("--dims", "-1"), ("--dims=2,0",)], ids=" ".join)
+@pytest.mark.parametrize(
+    "dims", [("--dims", "0"), ("--dims", "-1"), ("--dims=2,0",), ("--dims", "2,x")], ids=" ".join
+)
 def test_proptest_dimension_below_one_is_a_usage_error(dims):
     assert _main_err(["proptest", "robertson", "--trials", "2", *dims])[0] == cli.EXIT_USAGE
 
 
 @pytest.mark.parametrize("trials", ["0", "-5", "x"])
 def test_proptest_trials_below_one_is_a_usage_error(trials):
-    # a suite that runs no trial must not report a pass
+    # a suite that runs no trial must not report a pass; run_suite refuses
+    # the count, and argparse refuses a value that is not an integer
     code, err = _main_err(["proptest", "field_axioms", "--trials", trials])
     assert code == cli.EXIT_USAGE
-    assert "expected a trial count >= 1" in err
+    if trials == "x":
+        assert "invalid int value: 'x'" in err
+    else:
+        assert "expected a trial count >= 1" in err
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])
@@ -322,6 +345,62 @@ def test_unknown_proptest_suite_is_a_usage_error_that_lists_the_suites():
     code, err = _main_err(["proptest", "nope", "--trials", "1"])
     assert code == cli.EXIT_USAGE
     assert err == f"error: unknown suite 'nope'; choose from {', '.join(SUITES)}\n"
+
+
+def _atoms(d: int):
+    """Coordinates, h, i and rationals; i is rarer, as it makes an observable non-real."""
+    coords = [f"{k}{j}" for k in "qp" for j in range(1, d + 1)]
+    return st.sampled_from(coords * 2 + ["h", "h", "i", "2", "1/2", "-3", "(3/2)"])
+
+
+def _powers(d: int):
+    """An atom or a group of a two-term sum, to a power of at most 3."""
+    base = st.one_of(
+        _atoms(d),
+        st.tuples(_atoms(d), st.sampled_from("+-"), _atoms(d)).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    )
+    return st.tuples(base, st.sampled_from(["", "^1", "^2", "^3"])).map("".join)
+
+
+def _expressions(d: int):
+    """Sums, products, unary minus and groups over :func:`_powers`."""
+    return st.recursive(
+        _powers(d),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+            inner.map(lambda x: f"-{x}"),
+            inner.map(lambda x: f"({x})"),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _relation_invocations(draw):
+    # correlated states are d = 1 only; every c != 0 fails the quantum
+    # condition (a warning), and c = h makes cov indefinite (a usage error)
+    d = draw(st.sampled_from([1, 1, 2]))
+    state = draw(
+        st.one_of(
+            st.just("ground"),
+            st.sampled_from(["2", "1/3", "5/2", "0"]).map("squeezed:{}".format),
+            st.sampled_from(["0", "1/4*h", "-1/2*h", "h", "h^2"]).map("correlated:{}".format),
+        )
+    )
+    obs = draw(st.lists(_expressions(d), min_size=1, max_size=3))
+    command = draw(st.sampled_from(["check", "intelligent"]))
+    return [command, "--state", state, *(f"--obs={x}" for x in obs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relation_invocations())
+def test_grammar_valid_input_never_ends_in_a_defect(argv):
+    # every input here is exact, so a run ends in a verdict or a usage error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdmissibilityWarning)
+        code, err = _main_err(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VIOLATED), err
+    assert not err.startswith("internal error"), err
 
 
 def _record() -> None:

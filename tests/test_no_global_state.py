@@ -1,8 +1,9 @@
-"""The package keeps no mutable module state and reads no environment.
+"""No module of ``src/dq`` has a ``global`` statement or reads the environment.
 
 A truncation policy set by a module global or an environment variable
 would make exact arithmetic silently inexact; this test keeps both out of
-``src/dq``.
+``src/dq``.  Module-level caches that no ``global`` rebinds, such as
+``observables._star_1d`` and ``cli.build_parser``, are not checked.
 """
 
 import ast

@@ -55,6 +55,22 @@ class TestSeriesGrammar:
         assert err.value.line == 1 and err.value.column == 5
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, column",
+    [
+        (parse_series, "1/0 + h", "zero denominator", 3),
+        (parse_series, "(1/0)", "zero denominator", 4),
+        (parse_series, "h^(1/0)", "zero denominator", 6),
+        (parse_observable, "q1^0 + p1", "expected a positive integer exponent", 4),
+        (parse_observable, "2/0*q1", "zero denominator", 3),
+    ],
+)
+def test_number_errors_point_at_the_number(parse, text, message, column):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.message, err.value.column) == (message, column)
+
+
 class TestObservableGrammar:
     def test_spec_example(self):
         f = parse_observable("q1*p1 + 1/2*h*i")

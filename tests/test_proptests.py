@@ -1,6 +1,6 @@
 """The seeded proptest suites at a modest size, every suite of the table,
-and the theorem diagnoses of the Gram suites, each forced through a
-patched check."""
+their refusal of a trial count below one, and the theorem diagnoses of the
+Gram suites, each forced through a patched check."""
 
 import pytest
 
@@ -17,6 +17,14 @@ TRIALS, SEED = 20, 0
 def test_suite_passes(suite):
     report = run_suite(suite, TRIALS, SEED)
     assert report.ok, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_refuses_a_trial_count_below_one(suite, trials):
+    # a suite that runs no trial must not report a pass
+    with pytest.raises(ValueError, match=f"expected a trial count >= 1, got {trials}$"):
+        run_suite(suite, trials, SEED)
 
 
 def test_robertson_reports_an_equality_on_a_positive_definite_form(monkeypatch):

@@ -76,10 +76,14 @@ class TestArithmeticExamples:
     def test_inv_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             ZERO.inv()
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            ONE / ZERO
 
     def test_inv_truncated_zero_indeterminate(self):
         with pytest.raises(IndeterminateAtTruncation):
             series({}, trunc=8).inv()
+        with pytest.raises(IndeterminateAtTruncation, match="zero modulo h\\^8"):
+            ONE / series({}, trunc=8)
 
     def test_inv_and_sqrt_of_exact_input_need_an_order(self):
         with pytest.raises(InexactDivision):
@@ -151,6 +155,8 @@ class TestOrder:
     def test_dunder_comparisons(self):
         assert HBAR < F(1, 100)
         assert h(1, 3) > h(2, 5)
+        assert HBAR <= HBAR and HBAR <= ONE and not ONE <= HBAR
+        assert HBAR >= HBAR and ONE >= HBAR and not HBAR >= ONE
         with pytest.raises(IndeterminateAtTruncation):
             series({}, trunc=3) < ZERO
 
@@ -284,6 +290,14 @@ class TestExactDivision:
     def test_exact_quotient(self):
         a = (ONE + HBAR) * (ONE - h(2, 3))
         assert exact_div(a, ONE + HBAR) == ONE - h(2, 3)
+
+    def test_exact_div_needs_exact_operands_and_a_nonzero_divisor(self):
+        with pytest.raises(InexactDivision, match="needs exact operands"):
+            exact_div(series({1: 1}, trunc=3), ONE)
+        with pytest.raises(InexactDivision, match="needs exact operands"):
+            exact_div(ONE, series({0: 1}, trunc=3))
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            exact_div(ONE, ZERO)
 
     def test_truediv_prefers_exact(self):
         q = ((ONE + HBAR) * (ONE + h(3))) / (ONE + HBAR)

@@ -12,7 +12,12 @@ import pytest
 import sympy as sp
 
 from dq import states
-from dq.errors import AdmissibilityWarning, InternalConsistencyError, MomentDegreeExceeded
+from dq.errors import (
+    AdmissibilityWarning,
+    DimensionMismatch,
+    InternalConsistencyError,
+    MomentDegreeExceeded,
+)
 from dq.observables import moyal_bracket, observable, star
 from dq.linalg import HermitianForm, hermitian_form
 from dq.proptests import rand_admissible_state, rand_real_observable
@@ -90,6 +95,27 @@ def test_admissible_states_do_not_warn(make):
 def test_negative_covariance_is_rejected():
     with pytest.raises(ValueError, match="not non-negative definite"):
         _diagonal_state(h(1, -1), h(1, F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: GaussianState([ZERO] * 3, [[ZERO] * 3] * 3), DimensionMismatch, "mean must list"),
+        (lambda: GaussianState([ZERO] * 2, [[HALF_H, ZERO]]), DimensionMismatch, "must be 2x2"),
+        (
+            lambda: GaussianState([ZERO] * 2, [[HALF_H, h(2)], [ZERO, HALF_H]]),
+            ValueError,
+            "must be symmetric",
+        ),
+        # det cov = h^2/4 - h^2 < 0 through the off-diagonal entry alone
+        (lambda: correlated(h(1)), ValueError, "not non-negative definite"),
+        (lambda: squeezed(0), ValueError, "squeeze parameter must be positive"),
+    ],
+    ids=["odd mean", "2x1 cov", "asymmetric cov", "indefinite cov", "squeezed(0)"],
+)
+def test_malformed_state_parameters_are_rejected(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 @pytest.mark.filterwarnings("ignore::dq.errors.AdmissibilityWarning")
