@@ -491,7 +491,10 @@ def trial_uncertainty(rng: random.Random, t: int, dims):
     if dependent and checks.direction is None:
         yield f"{ctx} dependent set must give an ideal direction"
     if len(xs) == 2:
-        saturated = dict(checks.reports)["TwoObs"].relation is Relation.EQUAL
+        two = dict(checks.reports)["TwoObs"]
+        if determinant(checks.mm.phi.entries) != ComplexSeries(two.lhs - two.rhs):
+            yield f"{ctx} TwoObs gap differs from det(phi)"
+        saturated = two.relation is Relation.EQUAL
         if (checks.witness is not None) != saturated:
             yield f"{ctx} witness existence disagrees with saturation"
 

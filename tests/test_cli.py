@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -71,12 +72,24 @@ def _write_state_files(directory) -> None:
             json.dump(data, fh)
 
 
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def _main(argv):
     """(exit code, stdout) of one in-process call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
+    code, out, _ = _call(argv)
+    return code, out
+
+
+def _main_err(argv):
+    """(exit code, stderr) of one in-process call."""
+    code, _, err = _call(argv)
+    return code, err
 
 
 @pytest.fixture
@@ -142,14 +155,6 @@ def test_unary_minus_observable(workdir):
     code, out = _main(["check", "--state", "ground", "--obs=-q1", "--obs=p1"])
     assert code == cli.EXIT_OK
     assert out.startswith("RS: saturated")
-
-
-def _main_err(argv):
-    """(exit code, stderr) of one in-process call."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -375,6 +380,17 @@ def _expressions(d: int):
     )
 
 
+def _linear():
+    """Rational multiples and sums of q1 and p1.  Two independent ones on a
+    correlated state with c != 0 violate RS, so these reach exit 2."""
+    term = st.tuples(st.sampled_from(["", "2*", "-1/2*", "3/4*", "-3*"]), st.sampled_from(["q1", "p1"]))
+    return st.lists(term.map("".join), min_size=1, max_size=2).map(" + ".join)
+
+
+#: the states the fuzz draws that are admissible; no relation fails on them
+ADMISSIBLE = {"ground", "squeezed:2", "squeezed:1/3", "squeezed:5/2", "correlated:0"}
+
+
 @st.composite
 def _relation_invocations(draw):
     # correlated states are d = 1 only; every c != 0 fails the quantum
@@ -387,9 +403,32 @@ def _relation_invocations(draw):
             st.sampled_from(["0", "1/4*h", "-1/2*h", "h", "h^2"]).map("correlated:{}".format),
         )
     )
-    obs = draw(st.lists(_expressions(d), min_size=1, max_size=3))
+    # half the examples take two linear observables and no others
+    obs = draw(
+        st.one_of(
+            st.lists(_expressions(d), min_size=1, max_size=3),
+            st.lists(_linear(), min_size=2, max_size=2, unique=True),
+        )
+    )
     command = draw(st.sampled_from(["check", "intelligent"]))
-    return [command, "--state", state, *(f"--obs={x}" for x in obs)]
+    as_json = draw(st.booleans())
+    return [command, "--state", state, *(f"--obs={x}" for x in obs), *(["--json"] * as_json)]
+
+
+def _statuses(argv, out: str) -> dict:
+    """Relation name -> status word, read off any of the four outputs of
+    ``check`` and ``intelligent``; ``intelligent`` reports only HR and RS,
+    as flags, which read here as saturated or not."""
+    as_json = "--json" in argv
+    if argv[0] == "check":
+        if as_json:
+            return {r["relation"]: r["status"] for r in json.loads(out)["reports"]}
+        return dict(re.findall(r"^(\w+): (\w+)  lhs=", out, re.M))
+    if as_json:
+        flags = json.loads(out)["intelligent"]
+    else:
+        flags = {k: v == "True" for k, v in re.findall(r"^(hr|rs)-intelligent: (\w+)$", out, re.M)}
+    return {k.upper(): "saturated" if flags[k] else "not saturated" for k in ("hr", "rs")}
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,9 +437,19 @@ def test_grammar_valid_input_never_ends_in_a_defect(argv):
     # every input here is exact, so a run ends in a verdict or a usage error
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdmissibilityWarning)
-        code, err = _main_err(argv)
+        code, out, err = _call(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VIOLATED), err
-    assert not err.startswith("internal error"), err
+    if code == cli.EXIT_USAGE:
+        assert err.startswith(("error: ", "syntax error: ", "usage:")), err
+        return
+    admissible = argv[2] in ADMISSIBLE
+    # the relations are theorems on an admissible state
+    assert not (admissible and code == cli.EXIT_VIOLATED), out
+    status = _statuses(argv, out)
+    # for two observables the TwoObs gap is det(phi), which is RS's gap
+    assert status.get("TwoObs", status["RS"]) == status["RS"], out
+    if admissible and status["HR"] == "saturated":
+        assert status["RS"] == "saturated", out
 
 
 def _record() -> None:

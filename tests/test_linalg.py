@@ -98,6 +98,11 @@ class TestDeterminant:
     def test_skew_2x2(self):
         assert determinant(rationals([[0, 1], [-1, 0]])) == ONE
 
+    def test_requires_a_nonempty_square(self):
+        for matrix in ([], [[1, 2]]):
+            with pytest.raises(ValueError, match="must be square and nonempty"):
+                determinant(matrix)
+
     def test_matches_cofactor_oracle(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -297,6 +302,8 @@ class TestDefiniteness:
             hermitian_form([[1, I1], [I1, 1]])
         with pytest.raises(HermitianViolation):
             hermitian_form([[I1, ZERO], [ZERO, 1]])
+        with pytest.raises(HermitianViolation, match="must be square"):
+            hermitian_form([[1, 2]])
 
 
 def _classified(rows):
@@ -411,6 +418,7 @@ class TestKernel:
 
     def test_full_rank_empty(self):
         assert kernel([[rational(1), ZERO], [ZERO, rational(1)]]) == []
+        assert kernel([]) == []
 
     def test_series_fixture(self):
         half = h(1, F(1, 2))

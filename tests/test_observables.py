@@ -183,11 +183,22 @@ class TestAlgebraLaws:
         f = Q * F(1, 2) + 1
         assert f.terms[(0, 0)] == ComplexSeries(ONE)
         assert f.terms[(1, 0)] == ComplexSeries(series([(0, F(1, 2))]))
+        assert 1 - Q == constant(1, ONE) - Q
+        assert (1 - Q).literal() == "1 - q1"
 
 
 def test_observable_normalization_drops_exact_zeros():
     f = observable(1, {(1, 0): ComplexSeries(ONE), (0, 1): ComplexSeries()})
     assert set(f.terms) == {(1, 0)}
+
+
+def test_constructors_refuse_a_malformed_observable():
+    with pytest.raises(DimensionMismatch, match="at least one degree of freedom"):
+        Observable(0, {})
+    with pytest.raises(ValueError, match=r"bad monomial \(1,\) for d=1"):
+        observable(1, {(1,): 1})
+    with pytest.raises(ValueError, match="no coordinate r1 for d=1"):
+        coordinate(1, "r", 1)
 
 
 def test_degree():

@@ -63,9 +63,24 @@ class TestSeriesGrammar:
         (parse_series, "h^(1/0)", "zero denominator", 6),
         (parse_observable, "q1^0 + p1", "expected a positive integer exponent", 4),
         (parse_observable, "2/0*q1", "zero denominator", 3),
+        (parse_series, "1/", "expected an integer", 3),
     ],
 )
 def test_number_errors_point_at_the_number(parse, text, message, column):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.message, err.value.column) == (message, column)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, column",
+    [
+        (parse_series, "(1/2", "expected ')'", 5),
+        (parse_series, "2*q1", "expected 'h' after '*'", 3),
+        (parse_observable, "(q1", "expected ')'", 4),
+    ],
+)
+def test_missing_tokens_are_reported_where_they_belong(parse, text, message, column):
     with pytest.raises(ExprSyntaxError) as err:
         parse(text)
     assert (err.value.message, err.value.column) == (message, column)

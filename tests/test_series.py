@@ -26,6 +26,8 @@ from dq.series import (
     Sign,
     ZERO,
     agree_mod_trunc,
+    as_complex,
+    as_series,
     compare,
     decide_sign,
     decide_zero,
@@ -278,6 +280,12 @@ class TestComplex:
         assert len({hash(x) for x in built}) == 1 and len(set(built)) == 1
         assert ComplexSeries(HBAR) != ComplexSeries(HBAR, series({}, trunc=3))
 
+    def test_coercions_refuse_a_non_number(self):
+        with pytest.raises(TypeError, match="expected a series, got str"):
+            as_series("x")
+        with pytest.raises(TypeError, match="expected a complex series, got str"):
+            as_complex("x")
+
     def test_observable_terms_compare_by_value(self):
         q = coordinate(1, "q", 1)
         doubled = q * 2
@@ -307,6 +315,9 @@ class TestExactDivision:
     def test_truediv_of_exact_operands_is_exact_or_raises(self):
         with pytest.raises(InexactDivision):
             ONE / (ONE - HBAR)
+        with pytest.raises(InexactDivision):
+            1 / (1 + h())
+        assert str(2 / h()) == "2*h^-1"
         q = (ONE - h(2)) / (ONE - HBAR)
         assert q.trunc == INF
         assert q == ONE + HBAR
@@ -314,6 +325,10 @@ class TestExactDivision:
     def test_truediv_of_truncated_by_exact_keeps_the_numerator_window(self):
         q = series({1: 1, 2: 3}, trunc=4) / (ONE - HBAR)
         assert q == series({1: 1, 2: 4, 3: 4}, trunc=4)
+        # a truncated zero is known to its order less the divisor's valuation
+        zero = series({}, trunc=5)
+        assert repr(zero / (1 + h())) == "Series[0 + O(h^5)]"
+        assert repr(zero / (h() + h(2))) == "Series[0 + O(h^4)]"
 
 
 # ---------------------------------------------------------------------------

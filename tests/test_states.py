@@ -253,6 +253,14 @@ def test_moment_of_cap_degree_evaluates():
     assert sp.expand(_sym(got.re) - want) == 0
 
 
+def test_moments_refuse_an_observable_of_another_dimension():
+    x = observable(2, {(1, 0, 0, 0): 1})
+    with pytest.raises(DimensionMismatch, match="observable d=2, state d=1"):
+        ground(1).expectation(x)
+    with pytest.raises(DimensionMismatch, match="observable d=2, state d=1"):
+        ground(1).star_expectation(x, x)
+
+
 @pytest.mark.parametrize("mono", [(MOMENT_CAP + 1, 0), (6, 7)])
 def test_moment_above_the_cap_raises(mono):
     with pytest.raises(MomentDegreeExceeded, match=f"moment of degree 13 exceeds cap {MOMENT_CAP}"):

@@ -41,11 +41,12 @@ def test_two_observables_share_one_moment_computation(monkeypatch):
     assert calls == {"moment_matrices": 1, "star_expectation": 3}
     calls.clear()
     checks = check_relations(ground(1), [Q, P])
-    # the one star product is the Gel'fand norm of the kernel witness; det a
+    # the one star product is the Gel'fand norm of the kernel witness; the
+    # determinants are det a and det b, since the TwoObs gap is det phi; det a
     # is not zero, so a has no kernel to compute
     assert calls == {
         "moment_matrices": 1,
-        "determinant": 3,
+        "determinant": 2,
         "kernel": 1,
         "star_expectation": 3,
         "star": 1,
@@ -100,6 +101,19 @@ def test_annihilated_ladder_saturates_rs(m):
     assert res.rs.relation is Relation.EQUAL
 
 
+def test_the_annihilating_condition_is_sufficient_not_necessary():
+    # ground(1) is annihilated by its ladder a itself: (u, v) = (1, 0)
+    res = check_annihilating_transform(ground(1), [Q, P], [[1]], [[0]])
+    assert res.all_in_ideal and res.norms[0].is_zero
+    assert res.rs.relation is Relation.EQUAL
+    # squeezed(4)'s transform does not annihilate ground(1), which still
+    # saturates RS
+    res = check_annihilating_transform(ground(1), [Q, P], [[F(5, 4)]], [[F(-3, 4)]])
+    assert [str(norm) for norm in res.norms] == ["9/32*h"]
+    assert not res.all_in_ideal
+    assert res.rs.relation is Relation.EQUAL
+
+
 def test_annihilating_transform_guards():
     with pytest.raises(DimensionTooSmall, match="even number"):
         check_annihilating_transform(squeezed(4), [Q, P, Q + P], [[1]], [[0]])
@@ -107,3 +121,8 @@ def test_annihilating_transform_guards():
         check_annihilating_transform(squeezed(4), [Q, P], [[1]], [[1]])
     with pytest.raises(ValueError, match="must be 1x1"):
         check_annihilating_transform(squeezed(4), [Q, P], [[1, 0]], [[0]])
+
+
+def test_moment_matrices_need_an_observable():
+    with pytest.raises(DimensionTooSmall, match="at least one observable"):
+        uncertainty.moment_matrices(ground(1), [])
